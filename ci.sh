@@ -64,6 +64,12 @@ go vet ./...
 go build ./...
 go test ./...
 
+# The sweep benchmark is a module of its own, so the root test run does
+# not reach it. Its tests gate the recorded request streams' shapes, the
+# Figure 8 parse of results/full_suite_output.txt and fleet == local
+# results. They need no network.
+(cd perfbench && GOPROXY=off go test ./...)
+
 # Sweep-runner smoke under the race detector: serial, parallel and
 # warm-cache runs must render byte-identical tables, and a warm cache
 # must simulate nothing.

@@ -8,9 +8,9 @@ import (
 	"math/bits"
 )
 
-// Set holds the ways of one set in LRU order (index 0 = most recently used).
+// way is one occupied entry of a set. There is no valid bit: a set's
+// occupied ways are exactly its first fill[set] slab slots.
 type way[V any] struct {
-	valid bool
 	tag   uint64
 	value V
 }
@@ -18,11 +18,18 @@ type way[V any] struct {
 // SetAssoc is a set-associative array mapping a uint64 key (typically a
 // cache-line number) to a value of type V. Keys are split into set index
 // (low bits) and tag (high bits). Replacement is true LRU within a set.
+//
+// All ways live in one slab of sets*ways entries, so building an array
+// costs three allocations (the array, its slab and its fill counts)
+// whatever its geometry. Set s owns the fixed window
+// slab[s*ways : (s+1)*ways]; its first fill[s] slots are occupied, in LRU
+// order (slot 0 = most recently used).
 type SetAssoc[V any] struct {
 	sets      int
 	ways      int
 	setShift  uint
-	data      [][]way[V] // data[set] = ways in LRU order
+	slab      []way[V]
+	fill      []uint32
 	evictions uint64
 	hits      uint64
 	misses    uint64
@@ -37,16 +44,13 @@ func NewSetAssoc[V any](sets, ways int) *SetAssoc[V] {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets %d is not a power of two", sets))
 	}
-	c := &SetAssoc[V]{
+	return &SetAssoc[V]{
 		sets:     sets,
 		ways:     ways,
 		setShift: uint(bits.TrailingZeros(uint(sets))),
-		data:     make([][]way[V], sets),
+		slab:     make([]way[V], sets*ways),
+		fill:     make([]uint32, sets),
 	}
-	for i := range c.data {
-		c.data[i] = make([]way[V], 0, ways)
-	}
-	return c
 }
 
 // Sets returns the number of sets.
@@ -67,32 +71,47 @@ func (c *SetAssoc[V]) index(key uint64) (set int, tag uint64) {
 	return int(key & uint64(c.sets-1)), key >> c.setShift
 }
 
-// Lookup returns the value for key and promotes it to MRU. The returned
-// pointer stays valid until the entry is evicted or removed; callers mutate
-// entries through it.
-func (c *SetAssoc[V]) Lookup(key uint64) (*V, bool) {
-	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			c.hits++
-			c.touch(set, i)
-			return &c.data[set][0].value, true
+// set returns the occupied ways of set s in LRU order. Its capacity runs
+// to the end of the set's window, so a non-full set can grow in place.
+func (c *SetAssoc[V]) set(s int) []way[V] {
+	base := s * c.ways
+	return c.slab[base : base+int(c.fill[s]) : base+c.ways]
+}
+
+// find returns the position of tag in ways, or -1.
+func find[V any](ways []way[V], tag uint64) int {
+	for i := range ways {
+		if ways[i].tag == tag {
+			return i
 		}
 	}
-	c.misses++
-	return nil, false
+	return -1
+}
+
+// Lookup returns the value for key and promotes it to MRU. Callers mutate
+// entries through the returned pointer; it is valid only until the next
+// mutating call (Lookup, Insert or Remove) on the same array, which may
+// move the entry within its set.
+func (c *SetAssoc[V]) Lookup(key uint64) (*V, bool) {
+	set, tag := c.index(key)
+	s := c.set(set)
+	i := find(s, tag)
+	if i < 0 {
+		c.misses++
+		return nil, false
+	}
+	c.hits++
+	touch(s, i)
+	return &s[0].value, true
 }
 
 // Peek returns the value for key without updating LRU order or hit/miss
-// statistics.
+// statistics. The pointer has the same lifetime as Lookup's.
 func (c *SetAssoc[V]) Peek(key uint64) (*V, bool) {
 	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			return &s[i].value, true
-		}
+	s := c.set(set)
+	if i := find(s, tag); i >= 0 {
+		return &s[i].value, true
 	}
 	return nil, false
 }
@@ -103,9 +122,8 @@ func (c *SetAssoc[V]) Contains(key uint64) bool {
 	return ok
 }
 
-// touch moves way i of set to MRU position.
-func (c *SetAssoc[V]) touch(set, i int) {
-	s := c.data[set]
+// touch moves way i of s to the MRU position.
+func touch[V any](s []way[V], i int) {
 	if i == 0 {
 		return
 	}
@@ -119,68 +137,62 @@ func (c *SetAssoc[V]) touch(set, i int) {
 // its value and promotes it.
 func (c *SetAssoc[V]) Insert(key uint64, v V) (victimKey uint64, victim V, evicted bool) {
 	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].value = v
-			c.touch(set, i)
-			return 0, victim, false
-		}
+	s := c.set(set)
+	if i := find(s, tag); i >= 0 {
+		s[i].value = v
+		touch(s, i)
+		return 0, victim, false
 	}
-	if len(s) < c.ways {
-		c.data[set] = append(s, way[V]{})
-		s = c.data[set]
-		copy(s[1:], s[0:len(s)-1])
-		s[0] = way[V]{valid: true, tag: tag, value: v}
+	n := len(s)
+	if n < c.ways {
+		c.fill[set]++
+		s = s[:n+1]
+		copy(s[1:], s[:n])
+		s[0] = way[V]{tag: tag, value: v}
 		return 0, victim, false
 	}
 	// Evict LRU (last position).
-	last := len(s) - 1
+	last := n - 1
 	victimKey = s[last].tag<<c.setShift | uint64(set)
 	victim = s[last].value
 	c.evictions++
-	copy(s[1:], s[0:last])
-	s[0] = way[V]{valid: true, tag: tag, value: v}
+	copy(s[1:], s[:last])
+	s[0] = way[V]{tag: tag, value: v}
 	return victimKey, victim, true
 }
 
 // Remove deletes key if present and returns its value.
 func (c *SetAssoc[V]) Remove(key uint64) (V, bool) {
 	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			v := s[i].value
-			c.data[set] = append(s[:i], s[i+1:]...)
-			return v, true
-		}
+	s := c.set(set)
+	i := find(s, tag)
+	if i < 0 {
+		var zero V
+		return zero, false
 	}
-	var zero V
-	return zero, false
+	v := s[i].value
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = way[V]{} // drop the vacated slot's references
+	c.fill[set]--
+	return v, true
 }
 
 // Victim returns the key that Insert(key, ...) would evict, if any, without
 // modifying the array.
 func (c *SetAssoc[V]) Victim(key uint64) (victimKey uint64, wouldEvict bool) {
 	set, tag := c.index(key)
-	s := c.data[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			return 0, false
-		}
-	}
-	if len(s) < c.ways {
+	s := c.set(set)
+	if len(s) < c.ways || find(s, tag) >= 0 {
 		return 0, false
 	}
-	last := len(s) - 1
-	return s[last].tag<<c.setShift | uint64(set), true
+	return s[len(s)-1].tag<<c.setShift | uint64(set), true
 }
 
-// Len returns the number of valid entries across all sets.
+// Len returns the number of occupied entries across all sets.
 func (c *SetAssoc[V]) Len() int {
 	n := 0
-	for _, s := range c.data {
-		n += len(s)
+	for _, f := range c.fill {
+		n += int(f)
 	}
 	return n
 }
@@ -188,8 +200,8 @@ func (c *SetAssoc[V]) Len() int {
 // Range calls fn for every (key, value) pair until fn returns false.
 // Iteration order is set-major then LRU order; it does not modify LRU state.
 func (c *SetAssoc[V]) Range(fn func(key uint64, v *V) bool) {
-	for set := range c.data {
-		s := c.data[set]
+	for set := range c.fill {
+		s := c.set(set)
 		for i := range s {
 			key := s[i].tag<<c.setShift | uint64(set)
 			if !fn(key, &s[i].value) {

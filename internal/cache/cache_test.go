@@ -252,3 +252,179 @@ func BenchmarkInsertEvict(b *testing.B) {
 		c.Insert(uint64(i), uint64(i))
 	}
 }
+
+// refAssoc is a naive slice-of-slices model of SetAssoc: each set is a
+// list of (key, value) pairs in LRU order, MRU first.
+type refAssoc struct {
+	sets, ways int
+	data       [][]refWay
+}
+
+type refWay struct {
+	key   uint64
+	value int
+}
+
+func newRefAssoc(sets, ways int) *refAssoc {
+	return &refAssoc{sets: sets, ways: ways, data: make([][]refWay, sets)}
+}
+
+func (r *refAssoc) find(key uint64) (set, i int) {
+	set = int(key % uint64(r.sets))
+	for i, w := range r.data[set] {
+		if w.key == key {
+			return set, i
+		}
+	}
+	return set, -1
+}
+
+func (r *refAssoc) promote(set, i int) {
+	w := r.data[set][i]
+	r.data[set] = append(r.data[set][:i], r.data[set][i+1:]...)
+	r.data[set] = append([]refWay{w}, r.data[set]...)
+}
+
+func (r *refAssoc) lookup(key uint64) (int, bool) {
+	set, i := r.find(key)
+	if i < 0 {
+		return 0, false
+	}
+	r.promote(set, i)
+	return r.data[set][0].value, true
+}
+
+func (r *refAssoc) peek(key uint64) (int, bool) {
+	set, i := r.find(key)
+	if i < 0 {
+		return 0, false
+	}
+	return r.data[set][i].value, true
+}
+
+func (r *refAssoc) insert(key uint64, v int) (uint64, int, bool) {
+	set, i := r.find(key)
+	if i >= 0 {
+		r.data[set][i].value = v
+		r.promote(set, i)
+		return 0, 0, false
+	}
+	var victim refWay
+	evicted := len(r.data[set]) == r.ways
+	if evicted {
+		victim = r.data[set][r.ways-1]
+		r.data[set] = r.data[set][:r.ways-1]
+	}
+	r.data[set] = append([]refWay{{key, v}}, r.data[set]...)
+	return victim.key, victim.value, evicted
+}
+
+func (r *refAssoc) remove(key uint64) (int, bool) {
+	set, i := r.find(key)
+	if i < 0 {
+		return 0, false
+	}
+	v := r.data[set][i].value
+	r.data[set] = append(r.data[set][:i], r.data[set][i+1:]...)
+	return v, true
+}
+
+func (r *refAssoc) victim(key uint64) (uint64, bool) {
+	set, i := r.find(key)
+	if i >= 0 || len(r.data[set]) < r.ways {
+		return 0, false
+	}
+	return r.data[set][r.ways-1].key, true
+}
+
+func (r *refAssoc) entries() []refWay {
+	var all []refWay
+	for _, s := range r.data {
+		all = append(all, s...)
+	}
+	return all
+}
+
+// TestDifferentialAgainstReference drives random operation streams
+// through SetAssoc and the naive model and demands identical returns,
+// victim keys, Len and Range order after every step, including the
+// degenerate 1-set and 1-way geometries.
+func TestDifferentialAgainstReference(t *testing.T) {
+	for _, g := range [][2]int{{1, 1}, {1, 5}, {8, 1}, {4, 3}, {16, 4}, {2, 16}} {
+		sets, ways := g[0], g[1]
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := NewSetAssoc[int](sets, ways)
+			ref := newRefAssoc(sets, ways)
+			keySpace := 3 * sets * ways
+			for step := 0; step < 1500; step++ {
+				k := uint64(rng.Intn(keySpace))
+				fail := func(op string, got, want any) {
+					t.Fatalf("%dx%d seed %d step %d %s(%d) = %v, want %v", sets, ways, seed, step, op, k, got, want)
+				}
+				switch rng.Intn(5) {
+				case 0:
+					p, ok := c.Lookup(k)
+					wv, wok := ref.lookup(k)
+					if ok != wok || ok && *p != wv {
+						fail("Lookup", ok, wok)
+					}
+					if ok && rng.Intn(2) == 0 { // write through the pointer
+						*p = step
+						ref.data[int(k%uint64(sets))][0].value = step
+					}
+				case 1:
+					p, ok := c.Peek(k)
+					wv, wok := ref.peek(k)
+					if ok != wok || ok && *p != wv {
+						fail("Peek", ok, wok)
+					}
+				case 2:
+					vk, vv, ev := c.Insert(k, step)
+					wk, wv, wev := ref.insert(k, step)
+					if [3]any{vk, vv, ev} != [3]any{wk, wv, wev} {
+						fail("Insert", [3]any{vk, vv, ev}, [3]any{wk, wv, wev})
+					}
+				case 3:
+					v, ok := c.Remove(k)
+					wv, wok := ref.remove(k)
+					if v != wv || ok != wok {
+						fail("Remove", [2]any{v, ok}, [2]any{wv, wok})
+					}
+				case 4:
+					vk, ok := c.Victim(k)
+					wk, wok := ref.victim(k)
+					if vk != wk || ok != wok {
+						fail("Victim", [2]any{vk, ok}, [2]any{wk, wok})
+					}
+				}
+				want := ref.entries()
+				if c.Len() != len(want) {
+					fail("Len", c.Len(), len(want))
+				}
+				var got []refWay
+				c.Range(func(key uint64, v *int) bool {
+					got = append(got, refWay{key, *v})
+					return true
+				})
+				if len(got) != len(want) {
+					fail("Range", got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						fail("Range", got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConstructionAllocs pins construction to the slab and fill-count
+// allocations, independent of geometry.
+func TestConstructionAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() { NewSetAssoc[uint64](2048, 16) })
+	if allocs != 3 {
+		t.Fatalf("NewSetAssoc(2048, 16) made %v allocations, want 3", allocs)
+	}
+}

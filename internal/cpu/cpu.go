@@ -16,6 +16,7 @@ package cpu
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
 
 	"dynamo/internal/chi"
@@ -60,6 +61,23 @@ type Thread struct {
 	id  int
 	ops chan op
 	res chan uint64
+	// panicked holds a panic escaping the program, written before ops is
+	// closed; the engine re-raises it on its own goroutine.
+	panicked *ProgramPanic
+}
+
+// ProgramPanic is the value Core re-panics with, on the engine goroutine,
+// when a workload program panics. Recovering there (the sweep runner does)
+// contains the failure to one run instead of the whole process.
+type ProgramPanic struct {
+	Core  int
+	Value any    // the program's panic value
+	Stack []byte // the program goroutine's stack at the panic
+}
+
+// Error reports the core, the panic value and the program's stack.
+func (p *ProgramPanic) Error() string {
+	return fmt.Sprintf("cpu: program on core %d panicked: %v\n%s", p.Core, p.Value, p.Stack)
 }
 
 // ID returns the thread's index, which equals its core index.
@@ -252,7 +270,7 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(abortSignal); !ok {
-					panic(r)
+					c.thread.panicked = &ProgramPanic{Core: c.thread.id, Value: r, Stack: debug.Stack()}
 				}
 			}
 			close(c.thread.ops)
@@ -299,6 +317,9 @@ func (c *Core) advance(result uint64) {
 	o, ok := <-c.thread.ops
 	if !ok {
 		c.finished = true
+		if p := c.thread.panicked; p != nil {
+			panic(p)
+		}
 		c.FinishedAt = c.engine.Now()
 		if c.onFinish != nil {
 			c.onFinish()

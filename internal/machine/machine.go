@@ -520,6 +520,25 @@ func (m *Machine) abortCores() {
 // therefore produces bit-identical state — as an uninterrupted run.
 func (m *Machine) drive() (*Result, error) {
 	rs := m.rs
+	// A panic in an event (a panicking workload program is re-raised
+	// here) unwinds through the caller. Release the other cores' program
+	// goroutines on the way out, without recovering, so the panic keeps
+	// its original stack for whoever does recover it.
+	returned := false
+	defer func() {
+		if !returned {
+			rs.ended = true
+			m.abortCores()
+		}
+	}()
+	res, err := m.driveLoop()
+	returned = true
+	return res, err
+}
+
+// driveLoop is drive without the panic cleanup.
+func (m *Machine) driveLoop() (*Result, error) {
+	rs := m.rs
 	eng := m.Sys.Engine
 
 	// The run condition doubles as the forward-progress watchdog, the

@@ -2,7 +2,9 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"dynamo/internal/cpu"
 	"dynamo/internal/memory"
@@ -98,6 +100,55 @@ func TestRunSimpleProgram(t *testing.T) {
 	}
 	if res.NearLocal+res.NearTxn+res.Far != 20 {
 		t.Fatalf("placement split %d+%d+%d != 20", res.NearLocal, res.NearTxn, res.Far)
+	}
+}
+
+// TestNewAllocs gates construction of the full Table II machine: the
+// cache arrays are slab-backed, so the count does not grow with sets.
+func TestNewAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("machine.New(DefaultConfig()) made %v allocations, want <= 1000", allocs)
+	}
+}
+
+// TestRunPanickingProgram checks that a panic in a workload program is
+// raised on the caller's goroutine, where it can be recovered, and that
+// the other cores' program goroutines are released.
+func TestRunPanickingProgram(t *testing.T) {
+	m, err := New(smallConfig("all-near"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	spin := func(th *cpu.Thread) {
+		for {
+			th.AMOStore(memory.AMOAdd, 0x1000, 1)
+		}
+	}
+	progs := []cpu.Program{spin, func(th *cpu.Thread) {
+		th.Compute(50)
+		panic("boom")
+	}, spin}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		m.Run(progs)
+	}()
+	p, ok := got.(*cpu.ProgramPanic)
+	if !ok || p.Core != 1 || p.Value != "boom" {
+		t.Fatalf("recovered %#v, want a *cpu.ProgramPanic from core 1 with value boom", got)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before the run", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dynamo/internal/cpu"
 	"dynamo/internal/machine"
 )
 
@@ -16,6 +17,43 @@ func swapExecute(t *testing.T, fn func(Request) (*Outcome, error)) {
 	orig := executeFn
 	executeFn = func(q Request, _ execCtx) (*Outcome, error) { return fn(q) }
 	t.Cleanup(func() { executeFn = orig })
+}
+
+// runPanickingProgram simulates a program that panics on a simulated
+// core, which happens on the program's goroutine, not the caller's.
+func runPanickingProgram() (*Outcome, error) {
+	m, err := machine.New(machine.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	_, err = m.Run([]cpu.Program{func(th *cpu.Thread) {
+		th.Compute(10)
+		panic("program bug")
+	}})
+	return nil, err
+}
+
+func TestPanickingProgramIsAJobError(t *testing.T) {
+	bad := Request{Workload: "tc", Policy: "all-far", Threads: 2, Scale: 0.05}
+	swapExecute(t, func(q Request) (*Outcome, error) {
+		if q.Policy == "all-far" {
+			return runPanickingProgram()
+		}
+		return execute(q, execCtx{})
+	})
+	r := New(Options{Jobs: 2})
+	good := r.Submit(quick())
+	failed := r.Submit(bad)
+	if _, err := good.Wait(); err != nil {
+		t.Fatalf("healthy job failed: %v", err)
+	}
+	_, err := failed.Wait()
+	if !errors.Is(err, ErrJobPanicked) {
+		t.Fatalf("err = %v, want ErrJobPanicked", err)
+	}
+	if !strings.Contains(err.Error(), "program bug") {
+		t.Fatalf("err = %v, want the program's panic value in the message", err)
+	}
 }
 
 func TestPanickingJobDoesNotSinkTheSweep(t *testing.T) {

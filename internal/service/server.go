@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"dynamo/internal/core"
@@ -26,6 +27,14 @@ type Server struct {
 	svc  *Service
 	ln   net.Listener
 	http *http.Server
+
+	// fresh tracks accepted connections that have not sent a request yet.
+	// http.Server.Shutdown counts those as idle only after 5 s, so Close
+	// closes them itself; once closing is set, new ones are closed on
+	// arrival.
+	mu      sync.Mutex
+	fresh   map[net.Conn]struct{}
+	closing bool
 }
 
 // Serve binds addr (host:port; ":0" picks a free port) and serves svc
@@ -37,7 +46,7 @@ func Serve(addr string, svc *Service, middleware ...func(http.Handler) http.Hand
 	if err != nil {
 		return nil, fmt.Errorf("service: listening on %s: %w", addr, err)
 	}
-	srv := &Server{svc: svc, ln: ln}
+	srv := &Server{svc: svc, ln: ln, fresh: make(map[net.Conn]struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", srv.postSweeps)
 	mux.HandleFunc("GET /v1/sweeps/{id}", srv.getSweep)
@@ -53,7 +62,7 @@ func Serve(addr string, svc *Service, middleware ...func(http.Handler) http.Hand
 	for i := len(middleware) - 1; i >= 0; i-- {
 		h = middleware[i](h)
 	}
-	srv.http = &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	srv.http = &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second, ConnState: srv.connState}
 	go srv.http.Serve(ln)
 	return srv, nil
 }
@@ -66,12 +75,34 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
+// connState records which connections have yet to send a request.
+func (s *Server) connState(c net.Conn, state http.ConnState) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if state != http.StateNew {
+		delete(s.fresh, c)
+		return
+	}
+	if s.closing {
+		c.Close()
+		return
+	}
+	s.fresh[c] = struct{}{}
+}
+
 // Close stops accepting requests and waits briefly for in-flight ones.
-// It does not drain the service — call Service.Drain (or Close) for that.
+// Connections that have not sent a request are closed at once. It does
+// not drain the service — call Service.Drain (or Close) for that.
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.mu.Lock()
+	s.closing = true
+	for c := range s.fresh {
+		c.Close()
+	}
+	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	return s.http.Shutdown(ctx)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dynamo/internal/checkpoint"
+	"dynamo/internal/cpu"
 	"dynamo/internal/faultio"
 	"dynamo/internal/machine"
 	"dynamo/internal/runner"
@@ -194,6 +195,49 @@ func TestWorkerRidesOutTransportFaults(t *testing.T) {
 	waitFor(t, "flaky-worker commit accounting", func() bool {
 		return w.Stats().Committed >= 3
 	})
+}
+
+// TestPanickingProgramLeavesServiceUp: a workload program that panics on
+// its simulated core fails only its own job. The rest of the sweep, and a
+// later sweep, are still served.
+func TestPanickingProgramLeavesServiceUp(t *testing.T) {
+	_, srv, c := startService(t, Options{
+		CacheDir: t.TempDir(), Jobs: 2, Workers: true, LeaseTTL: 2 * time.Second,
+	})
+	startWorker(t, srv, WorkerOptions{
+		ID: "w",
+		Execute: func(q runner.Request, x runner.ExecOptions) (*runner.Outcome, error) {
+			if q.Seed != 452 {
+				return localExec(q, x)
+			}
+			m, err := machine.New(machine.DefaultConfig())
+			if err != nil {
+				return nil, err
+			}
+			_, err = m.Run([]cpu.Program{func(*cpu.Thread) { panic("program bug") }})
+			return nil, err
+		},
+	})
+
+	st, err := c.Submit(counterReq(451), counterReq(452), counterReq(453))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != 2 || st.Failed != 1 {
+		t.Fatalf("sweep with one panicking program = %+v", st)
+	}
+	if st, err = c.Submit(counterReq(454)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != SweepDone || st.Done != 1 {
+		t.Fatalf("next sweep = %+v", st)
+	}
 }
 
 // TestWorkerPanicReportsTransient: a panicking job does not kill the

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -17,7 +16,7 @@ import (
 // Tick is a point in simulated time, measured in clock cycles.
 type Tick uint64
 
-// Event is a closure scheduled to run at a fixed simulated time.
+// event is one scheduled closure, stored by value in the queue.
 type event struct {
 	when Tick
 	seq  uint64 // insertion order; breaks ties deterministically
@@ -27,28 +26,65 @@ type event struct {
 	fn   func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// before reports whether a runs before b: earlier time first, then
+// earlier insertion. seq is unique, so the order is total.
+func (a *event) before(b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// eventHeap is a binary min-heap of events ordered by (when, seq). Events
+// are held by value, so a warmed queue schedules without allocating.
+type eventHeap []event
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+// push adds ev, sifting it up from the bottom.
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	*h = q
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+}
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event. The heap must be non-empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // release the closure
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	// Sift last down from the root.
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -67,9 +103,7 @@ type Engine struct {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.queue)
-	return e
+	return &Engine{}
 }
 
 // Now returns the current simulated time.
@@ -79,7 +113,7 @@ func (e *Engine) Now() Tick { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // AttachPerf points the engine at a host-performance self-profiler; every
 // subsequently executed event is then attributed to its scheduling kind.
@@ -99,9 +133,8 @@ func (e *Engine) ScheduleKind(delay Tick, kind perf.Kind, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule called with nil fn")
 	}
-	ev := &event{when: e.now + delay, seq: e.seq, kind: kind, fn: fn}
+	e.queue.push(event{when: e.now + delay, seq: e.seq, kind: kind, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
 }
 
 // At runs fn at absolute time t, which must not be in the past.
@@ -127,7 +160,7 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // Head returns the time of the next pending event. ok is false when the
 // queue is empty.
 func (e *Engine) Head() (t Tick, ok bool) {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return 0, false
 	}
 	return e.queue[0].when, true
@@ -136,10 +169,10 @@ func (e *Engine) Head() (t Tick, ok bool) {
 // Step executes the single next event, advancing time to it. It reports
 // whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.queue.Len() == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
+	ev := e.queue.pop()
 	e.now = ev.when
 	e.executed++
 	if e.prof == nil {
@@ -160,7 +193,7 @@ func (e *Engine) Run(limit Tick) uint64 {
 	if limit > 0 {
 		deadline = e.now + limit
 	}
-	for !e.stopped && e.queue.Len() > 0 {
+	for !e.stopped && len(e.queue) > 0 {
 		if limit > 0 && e.queue[0].when > deadline {
 			break
 		}

@@ -235,6 +235,83 @@ func TestNestedSchedulingProperty(t *testing.T) {
 	}
 }
 
+// TestTieOrderDifferential checks the heap against a naive model: random
+// schedules, made up front and from inside events, over only a few
+// distinct times so that most events tie on when. Every Step must run the
+// pending event with the least (when, seq), found by linear scan.
+func TestTieOrderDifferential(t *testing.T) {
+	type pending struct {
+		when Tick
+		seq  uint64
+		id   int
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var ref []pending
+		ran := -1
+		nextID := 0
+		var schedule func()
+		schedule = func() {
+			id := nextID
+			nextID++
+			delay := Tick(rng.Intn(3))
+			ref = append(ref, pending{when: e.Now() + delay, seq: e.seq, id: id})
+			e.Schedule(delay, func() {
+				ran = id
+				if nextID < 2000 {
+					for k := rng.Intn(3); k > 0; k-- {
+						schedule()
+					}
+				}
+			})
+		}
+		for i := 0; i < 200; i++ {
+			schedule()
+		}
+		for len(ref) > 0 {
+			min := 0
+			for i, p := range ref {
+				if p.when < ref[min].when || p.when == ref[min].when && p.seq < ref[min].seq {
+					min = i
+				}
+			}
+			want := ref[min]
+			ref = append(ref[:min], ref[min+1:]...)
+			if !e.Step() {
+				t.Fatalf("seed %d: queue empty with %d events pending in the model", seed, len(ref)+1)
+			}
+			if ran != want.id || e.Now() != want.when {
+				t.Fatalf("seed %d: ran event %d at %d, want %d at %d", seed, ran, e.Now(), want.id, want.when)
+			}
+		}
+		if e.Step() {
+			t.Fatalf("seed %d: engine has events the model does not", seed)
+		}
+	}
+}
+
+// TestWarmScheduleStepAllocs pins the event loop itself at zero
+// allocations: scheduling a pre-built closure on a warmed engine and
+// stepping it must not touch the heap.
+func TestWarmScheduleStepAllocs(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.Schedule(Tick(i), fn)
+	}
+	e.Run(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(2, fn)
+		e.Schedule(0, fn)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule+step made %v allocations, want 0", allocs)
+	}
+}
+
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	b.ReportAllocs()
