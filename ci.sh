@@ -75,6 +75,12 @@ go test ./...
 # must simulate nothing.
 go test -race -run TestParallelSerialDeterminism ./internal/experiments
 
+# Each simulated core runs its program as a coroutine that the engine
+# resumes and that yields back on every Thread call: that switch is the
+# engine/program concurrency boundary, including the abort and panic
+# paths. Check both sides of it under the race detector.
+go test -race ./internal/cpu ./internal/machine
+
 # Robustness gate: invariant-checked runs through the CLI (sanitizer on,
 # deterministic chaos on) must finish clean, and the committed chaos
 # fuzz corpus must hold the metamorphic property.

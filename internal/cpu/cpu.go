@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package cpu provides the core timing model that drives the coherent
 // memory system, and the Thread API that workload programs run against.
 //
@@ -8,14 +10,19 @@
 // and commit early. Everything else about the core is abstracted to an
 // IPC-1 compute model — the studied effects live in the memory system.
 //
-// Programs execute on their own goroutines and interact with the simulated
-// core through blocking Thread methods. The handoff between the simulation
-// thread and program goroutines is strictly sequential (an unbuffered
-// channel rendezvous), so simulations remain fully deterministic.
+// Each program runs as a coroutine (iter.Pull) of its core and interacts
+// with the simulated core through blocking Thread methods: a Thread call
+// yields the operation to the engine, which resumes the program with the
+// result. Only the engine resumes programs, one at a time, so simulations
+// remain fully deterministic.
+//
+// The file needs go1.23 for iter.Pull; its build constraint raises the
+// language version to that while go.mod stays at go 1.22.
 package cpu
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
 
@@ -51,28 +58,25 @@ type op struct {
 	compare uint64
 }
 
-// abortSignal terminates program goroutines when a run is abandoned.
+// abortSignal unwinds a suspended program when its run is abandoned.
 type abortSignal struct{}
 
 // Thread is the interface a Program uses to execute simulated operations.
-// All methods block (in program-goroutine time) until the simulated core
-// accepts or completes the operation.
+// All methods block (suspending the program's coroutine) until the
+// simulated core accepts or completes the operation.
 type Thread struct {
-	id  int
-	ops chan op
-	res chan uint64
-	// panicked holds a panic escaping the program, written before ops is
-	// closed; the engine re-raises it on its own goroutine.
-	panicked *ProgramPanic
+	id     int
+	yield  func(op) bool
+	result uint64 // the completed operation's value, set before resuming
 }
 
-// ProgramPanic is the value Core re-panics with, on the engine goroutine,
-// when a workload program panics. Recovering there (the sweep runner does)
+// ProgramPanic is the value a workload program's panic is re-raised with
+// on the engine goroutine. Recovering there (the sweep runner does)
 // contains the failure to one run instead of the whole process.
 type ProgramPanic struct {
 	Core  int
 	Value any    // the program's panic value
-	Stack []byte // the program goroutine's stack at the panic
+	Stack []byte // the program coroutine's stack at the panic
 }
 
 // Error reports the core, the panic value and the program's stack.
@@ -84,12 +88,10 @@ func (p *ProgramPanic) Error() string {
 func (t *Thread) ID() int { return t.id }
 
 func (t *Thread) exchange(o op) uint64 {
-	t.ops <- o
-	v, ok := <-t.res
-	if !ok {
+	if !t.yield(o) {
 		panic(abortSignal{})
 	}
-	return v
+	return t.result
 }
 
 // Compute advances simulated time by n cycles of local work, committing n
@@ -218,6 +220,10 @@ type Core struct {
 	engine *sim.Engine
 	rn     *chi.RN
 	thread *Thread
+	// next resumes the program until its next operation; stop unwinds a
+	// suspended program. Both run on the engine goroutine.
+	next func() (op, bool)
+	stop func()
 
 	started        bool
 	finished       bool
@@ -260,23 +266,20 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 		rn:           rn,
 		onFinish:     onFinish,
 		pendingWords: make(map[memory.Addr]int),
-		thread: &Thread{
-			id:  rn.ID(),
-			ops: make(chan op),
-			res: make(chan uint64),
-		},
+		thread:       &Thread{id: rn.ID()},
 	}
-	go func() {
+	// iter.Pull re-raises a panic escaping the program in next's caller.
+	c.next, c.stop = iter.Pull(func(yield func(op) bool) {
+		c.thread.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(abortSignal); !ok {
-					c.thread.panicked = &ProgramPanic{Core: c.thread.id, Value: r, Stack: debug.Stack()}
+					panic(&ProgramPanic{Core: c.thread.id, Value: r, Stack: debug.Stack()})
 				}
 			}
-			close(c.thread.ops)
 		}()
 		prog(c.thread)
-	}()
+	})
 	return c, nil
 }
 
@@ -288,18 +291,15 @@ func (c *Core) Start(delay sim.Tick) {
 // Finished reports whether the program has returned.
 func (c *Core) Finished() bool { return c.finished }
 
-// Abort terminates the program goroutine of an abandoned run. The core
-// must not be advanced afterwards.
+// Abort releases the program of an abandoned run: a program suspended in
+// a Thread call unwinds from it, and one never started never runs. The
+// core must not be advanced afterwards.
 func (c *Core) Abort() {
 	if c.finished || c.aborted {
 		return
 	}
 	c.aborted = true
-	close(c.thread.res)
-	// Drain remaining operations so a goroutine blocked on an op send can
-	// reach its failing result receive and unwind.
-	for range c.thread.ops {
-	}
+	c.stop()
 	c.finished = true
 }
 
@@ -309,17 +309,11 @@ func (c *Core) advance(result uint64) {
 	if c.aborted {
 		return
 	}
-	if c.started {
-		c.thread.res <- result
-	} else {
-		c.started = true
-	}
-	o, ok := <-c.thread.ops
+	c.started = true
+	c.thread.result = result
+	o, ok := c.next()
 	if !ok {
 		c.finished = true
-		if p := c.thread.panicked; p != nil {
-			panic(p)
-		}
 		c.FinishedAt = c.engine.Now()
 		if c.onFinish != nil {
 			c.onFinish()

@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"dynamo/internal/chi"
 	"dynamo/internal/hbm"
@@ -315,8 +317,25 @@ func TestThreadID(t *testing.T) {
 	}
 }
 
+// releaseCheck returns a check that fails t unless the goroutine count
+// falls back to its value at the call: an aborted core must release its
+// program's coroutine, whether suspended mid-run or never started.
+func releaseCheck(t *testing.T) func() {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines, %d before: a program was not released", runtime.NumGoroutine(), before)
+			}
+		}
+	}
+}
+
 func TestAbortUnblocksProgram(t *testing.T) {
 	s := testSystem(t)
+	released := releaseCheck(t)
 	c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
 		for {
 			th.Load(0x700) // spins forever
@@ -334,10 +353,12 @@ func TestAbortUnblocksProgram(t *testing.T) {
 	}
 	// Double abort is safe.
 	c.Abort()
+	released()
 }
 
 func TestAbortNeverStarted(t *testing.T) {
 	s := testSystem(t)
+	released := releaseCheck(t)
 	c, err := New(DefaultConfig(), s.Engine, s.RNs[0], func(th *Thread) {
 		th.Load(0x700)
 	}, nil)
@@ -348,4 +369,5 @@ func TestAbortNeverStarted(t *testing.T) {
 	if !c.Finished() {
 		t.Fatal("aborted core not finished")
 	}
+	released()
 }

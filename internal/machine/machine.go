@@ -504,7 +504,7 @@ func (m *Machine) instrTotal() uint64 {
 	return n
 }
 
-// abortCores terminates every program goroutine of an abandoned run.
+// abortCores releases every suspended program of an abandoned run.
 func (m *Machine) abortCores() {
 	for _, c := range m.rs.cores {
 		if c != nil {
@@ -521,9 +521,9 @@ func (m *Machine) abortCores() {
 func (m *Machine) drive() (*Result, error) {
 	rs := m.rs
 	// A panic in an event (a panicking workload program is re-raised
-	// here) unwinds through the caller. Release the other cores' program
-	// goroutines on the way out, without recovering, so the panic keeps
-	// its original stack for whoever does recover it.
+	// here) unwinds through the caller. Release the other cores'
+	// suspended programs on the way out, without recovering, so the panic
+	// keeps its original stack for whoever does recover it.
 	returned := false
 	defer func() {
 		if !returned {

@@ -3,9 +3,11 @@ package machine
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"dynamo/internal/checkpoint"
 	"dynamo/internal/cpu"
 	"dynamo/internal/memory"
 )
@@ -117,20 +119,38 @@ func TestNewAllocs(t *testing.T) {
 	}
 }
 
+// releaseCheck returns a check that fails t unless the goroutine count
+// falls back to its value at the call: an abandoned run must release
+// every core's suspended program.
+func releaseCheck(t *testing.T) func() {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	return func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after the run, %d before: a program was not released", runtime.NumGoroutine(), before)
+			}
+		}
+	}
+}
+
+// spin is a program that never finishes.
+func spin(th *cpu.Thread) {
+	for {
+		th.AMOStore(memory.AMOAdd, 0x1000, 1)
+	}
+}
+
 // TestRunPanickingProgram checks that a panic in a workload program is
 // raised on the caller's goroutine, where it can be recovered, and that
-// the other cores' program goroutines are released.
+// the other cores' programs are released.
 func TestRunPanickingProgram(t *testing.T) {
 	m, err := New(smallConfig("all-near"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
-	spin := func(th *cpu.Thread) {
-		for {
-			th.AMOStore(memory.AMOAdd, 0x1000, 1)
-		}
-	}
+	released := releaseCheck(t)
 	progs := []cpu.Program{spin, func(th *cpu.Thread) {
 		th.Compute(50)
 		panic("boom")
@@ -144,12 +164,7 @@ func TestRunPanickingProgram(t *testing.T) {
 	if !ok || p.Core != 1 || p.Value != "boom" {
 		t.Fatalf("recovered %#v, want a *cpu.ProgramPanic from core 1 with value boom", got)
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the panic, %d before the run", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	released()
 }
 
 func TestRunRejectsBadProgramCounts(t *testing.T) {
@@ -176,15 +191,76 @@ func TestRunTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	released := releaseCheck(t)
 	_, err = m.Run([]cpu.Program{func(th *cpu.Thread) {
 		for { // never terminates
 			th.Load(0x1)
 			th.Compute(1)
 		}
-	}})
+	}, spin})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
+	released()
+}
+
+func TestRunInterrupted(t *testing.T) {
+	cfg := smallConfig("all-near")
+	interrupt := make(chan struct{})
+	cfg.Interrupt = interrupt
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := releaseCheck(t)
+	_, err = m.Run([]cpu.Program{func(th *cpu.Thread) {
+		th.Compute(100)
+		close(interrupt)
+		spin(th)
+	}, spin})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	released()
+}
+
+// TestRunFromDivergedReleasesCores restores a checkpoint whose state
+// digest the replay cannot reproduce: the run is abandoned mid-flight,
+// with every core suspended.
+func TestRunFromDivergedReleasesCores(t *testing.T) {
+	cfg := smallConfig("all-near")
+	progs := make([]cpu.Program, cfg.Chi.Cores)
+	for i := range progs {
+		progs[i] = func(th *cpu.Thread) {
+			for j := 0; j < 500; j++ {
+				th.AMOStore(memory.AMOAdd, 0x1000, 1)
+			}
+			th.Fence()
+		}
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := m.RunTo(progs, 2000); res != nil || err != nil {
+		t.Fatalf("RunTo = %v, %v, want a paused run", res, err)
+	}
+	ck, err := m.captureCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.abortCores()
+	ck.StateDigest = strings.Repeat("0", len(ck.StateDigest))
+
+	m, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := releaseCheck(t)
+	if _, err := m.RunFrom(progs, ck); !errors.Is(err, checkpoint.ErrDiverged) {
+		t.Fatalf("RunFrom = %v, want ErrDiverged", err)
+	}
+	released()
 }
 
 func TestFarPolicyRunsFar(t *testing.T) {

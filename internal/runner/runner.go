@@ -57,20 +57,17 @@ type Options struct {
 	// the runner's lifetime; a journal-less Telemetry surface is created
 	// automatically when none was supplied. See Runner.TelemetryAddr.
 	ServeAddr string
-	// Execute, when non-nil, replaces local simulation: a cache-missing
-	// job calls it instead of building a machine in this process. The
-	// remote client mode routes jobs to a sweep server through it while
-	// keeping the pool, dedupe, retry, telemetry and stats semantics.
-	// Checkpoint capture and resume are skipped — whoever executes owns
-	// them.
-	Execute func(Request) (*Outcome, error)
-	// ExecuteInterruptible is Execute's interrupt-aware form and takes
-	// precedence over it: the channel closes when the job is cancelled or
-	// preempted, so a remote executor can stop waiting (and withdraw or
-	// cancel the remote work) instead of polling until the job's natural
-	// end. Return an error wrapping machine.ErrInterrupted to report the
-	// interruption. The sweep service's lease dispatcher and the remote
-	// client both plug in here.
+	// ExecuteInterruptible, when non-nil, replaces local simulation: a
+	// cache-missing job calls it instead of building a machine in this
+	// process. The remote client mode routes jobs to a sweep server
+	// through it while keeping the pool, dedupe, retry, telemetry and
+	// stats semantics. Checkpoint capture and resume are skipped —
+	// whoever executes owns them. The channel closes when the job is
+	// cancelled or preempted, so a remote executor can stop waiting (and
+	// withdraw or cancel the remote work) instead of polling until the
+	// job's natural end. Return an error wrapping machine.ErrInterrupted
+	// to report the interruption. The sweep service's lease dispatcher
+	// and the remote client both plug in here.
 	ExecuteInterruptible func(Request, <-chan struct{}) (*Outcome, error)
 	// FS, when non-nil, replaces the file plane beneath the persistent
 	// cache (results, checkpoints, quarantine markers) — the seam the
@@ -170,16 +167,13 @@ func (r *Runner) safeExecute(q Request, x execCtx) (out *Outcome, err error) {
 	if r.opts.ExecuteInterruptible != nil {
 		return r.opts.ExecuteInterruptible(q, x.interrupt)
 	}
-	if r.opts.Execute != nil {
-		return r.opts.Execute(q)
-	}
 	return executeFn(q, x)
 }
 
 // remoteExec reports whether job execution is delegated to an external
 // executor, which then owns checkpoint capture and resume.
 func (r *Runner) remoteExec() bool {
-	return r.opts.Execute != nil || r.opts.ExecuteInterruptible != nil
+	return r.opts.ExecuteInterruptible != nil
 }
 
 // Task is a submitted job's handle.

@@ -349,10 +349,10 @@ func (c *Client) Span(digest string) (*Span, error) {
 	return &sp, nil
 }
 
-// Execute runs one request remotely and blocks for its outcome. It is
-// shaped to plug into runner.Options.Execute, so a local runner keeps
-// its pool, dedupe, stats and telemetry semantics while every actual
-// simulation happens on the server.
+// Execute runs one request remotely and blocks for its outcome. Its
+// interrupt-aware form ExecuteInterruptible plugs into a local runner,
+// which keeps its pool, dedupe, stats and telemetry semantics while every
+// actual simulation happens on the server.
 //
 // Execute self-heals across whole-sweep loss: when the server crashed
 // between admitting the sweep and persisting its result — the sweep id

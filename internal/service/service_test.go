@@ -165,9 +165,9 @@ func TestServiceEndToEnd(t *testing.T) {
 func TestExecuteHookMatchesLocal(t *testing.T) {
 	_, _, c := startService(t, Options{CacheDir: t.TempDir(), Jobs: 2})
 
-	// A local runner with the remote Execute hook: dedupe, stats and
+	// A local runner with the remote execute hook: dedupe, stats and
 	// result identity stay local, simulation happens on the server.
-	remote := runner.New(runner.Options{Jobs: 2, Execute: c.Execute})
+	remote := runner.New(runner.Options{Jobs: 2, ExecuteInterruptible: c.ExecuteInterruptible})
 	defer remote.Close()
 	local := runner.New(runner.Options{Jobs: 2})
 	defer local.Close()
