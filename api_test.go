@@ -130,19 +130,13 @@ func apiSurface(t *testing.T) []string {
 	return lines
 }
 
-// TestNoNewDeprecatedSymbols freezes the deprecation set: the legacy
-// entry points below may stay deprecated, but no release may deprecate
-// anything else without updating this list (and writing the migration
-// note that justifies it).
+// TestNoNewDeprecatedSymbols freezes the deprecation set: the symbols
+// below may stay deprecated, but no release may deprecate anything else
+// without updating this list (and writing the migration note that
+// justifies it). The list is empty: the package carries no deprecated
+// symbols.
 func TestNoNewDeprecatedSymbols(t *testing.T) {
-	allowed := map[string]bool{
-		"Options":       true,
-		"Run":           true,
-		"RunCounter":    true,
-		"RunPrograms":   true,
-		"WithServe":     true,
-		"WithTelemetry": true,
-	}
+	allowed := map[string]bool{}
 	got := deprecatedSymbols(t)
 	for _, name := range got {
 		if !allowed[name] {

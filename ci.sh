@@ -81,6 +81,11 @@ go test -race -run TestParallelSerialDeterminism ./internal/experiments
 # paths. Check both sides of it under the race detector.
 go test -race ./internal/cpu ./internal/machine
 
+# The sweep runner is the concurrent heart of the control plane: a worker
+# pool, per-task interrupt merging, and counters that live only in the
+# telemetry registry's atomics. Check it under the race detector too.
+go test -race ./internal/runner
+
 # Robustness gate: invariant-checked runs through the CLI (sanitizer on,
 # deterministic chaos on) must finish clean, and the committed chaos
 # fuzz corpus must hold the metamorphic property.

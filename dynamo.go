@@ -92,7 +92,7 @@ func DescribeWorkload(name string) (WorkloadInfo, error) {
 type ObsBus = obs.Bus
 
 // ObsReport is the deterministic digest of a run's observability data,
-// attached to Result.Obs when a bus was passed via Options.Obs.
+// attached to Result.Obs when a bus was passed via WithObs.
 type ObsReport = obs.Report
 
 // CheckReport summarizes a sanitized run's audit counters and occupancy
@@ -118,9 +118,9 @@ func WithTimeline() ObsOption {
 	return func(o *obs.Options) { o.Timeline = true }
 }
 
-// NewObs creates an observability bus to pass via WithObs (or the
-// deprecated Options.Obs). By default only histograms and counters are
-// collected; add WithTimeline for the Chrome trace-event export.
+// NewObs creates an observability bus to pass via WithObs. By default
+// only histograms and counters are collected; add WithTimeline for the
+// Chrome trace-event export.
 func NewObs(opts ...ObsOption) *ObsBus {
 	var o obs.Options
 	for _, opt := range opts {
@@ -131,8 +131,8 @@ func NewObs(opts ...ObsOption) *ObsBus {
 
 // Profiler is the per-cacheline contention profiler: a bounded top-K table
 // of the hottest AMO lines with near/far placement, snoop and HN-occupancy
-// detail, attributed to workload sites. Pass one via Options.Profile
-// (requires Options.Obs) and call Report or Table afterwards.
+// detail, attributed to workload sites. Pass one via WithProfile
+// (requires WithObs) and call Report or Table afterwards.
 type Profiler = profile.Profiler
 
 // NewProfiler creates a contention profiler tracking the k hottest lines
@@ -141,7 +141,7 @@ func NewProfiler(k int) *Profiler { return profile.NewProfiler(k) }
 
 // IntervalRecorder collects interval telemetry: every period ticks it
 // snapshots instruction, latency, NoC and HBM counters into a bounded ring
-// of per-interval records. Pass one via Options.Interval and call Series
+// of per-interval records. Pass one via WithInterval and call Series
 // afterwards.
 type IntervalRecorder = profile.Recorder
 
@@ -186,13 +186,8 @@ func ProbeCounters() []string { return obs.KnownCounters() }
 // ProbeSpans lists the occupancy/stall span names the simulator publishes.
 func ProbeSpans() []string { return obs.KnownSpans() }
 
-// Options selects what to run.
-//
-// Deprecated: build a Session with New and functional options instead;
-// Options remains as the carrier for the deprecated Run entry point.
-type Options struct {
-	// Workload is a Table III workload name (see Workloads).
-	Workload string
+// options is a Session's run parameters, set through its Option values.
+type options struct {
 	// Policy is a placement policy name (see Policies). Empty selects
 	// "all-near", the paper's baseline.
 	Policy string
@@ -204,8 +199,6 @@ type Options struct {
 	Scale float64
 	// Input selects a workload input variant ("" = default).
 	Input string
-	// Config overrides the system configuration (nil = DefaultConfig).
-	Config *Config
 	// SkipValidation disables the post-run functional check (benchmarks).
 	SkipValidation bool
 	// Trace, when non-nil, records every executed thread operation.
@@ -245,11 +238,9 @@ type Options struct {
 	resume *Checkpoint
 }
 
-func (o Options) fill() (Options, Config, error) {
-	cfg := DefaultConfig()
-	if o.Config != nil {
-		cfg = *o.Config
-	}
+// fill applies the defaults and validates o against cfg, returning the
+// filled options and cfg with the policy set.
+func (o options) fill(cfg Config) (options, Config, error) {
 	if o.Policy == "" {
 		o.Policy = "all-near"
 	}
@@ -275,48 +266,10 @@ func (o Options) fill() (Options, Config, error) {
 	return o, cfg, nil
 }
 
-// sessionFrom adapts a deprecated Options carrier into a Session, so the
-// deprecated entry points are genuine one-line Session delegates.
-func sessionFrom(opts Options) (*Session, error) {
-	filled, cfg, err := opts.fill()
-	if err != nil {
-		return nil, err
-	}
-	filled.Config = &cfg
-	return &Session{cfg: cfg, opts: filled}, nil
-}
-
-// Run executes one workload under one policy and returns its metrics. The
-// workload's functional result is validated unless SkipValidation is set.
-//
-// Deprecated: Use New(cfg, ...Option) and Session.Run; Run remains as a
-// one-line Session delegate and behaves identically.
-func Run(opts Options) (*Result, error) {
-	s, err := sessionFrom(opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(opts.Workload)
-}
-
-// RunCounter executes the Fig. 1 shared-counter microbenchmark: threads
-// threads each performing ops atomic increments, with AtomicStore
-// (noReturn) or AtomicLoad semantics.
-//
-// Deprecated: Use New(cfg, WithPolicy(policy), WithThreads(threads)) and
-// Session.RunCounter; RunCounter remains as a one-line Session delegate.
-func RunCounter(policy string, threads, ops int, noReturn bool, cfg *Config) (*Result, error) {
-	s, err := sessionFrom(Options{Policy: policy, Threads: threads, Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return s.RunCounter(ops, noReturn)
-}
-
 // attachChaos wires the fault injector selected by opts into a built
 // machine (a no-op when chaos is off). Must run between machine.New and
 // Run so every perturbation hook is in place before the first event.
-func attachChaos(m *machine.Machine, opts Options) error {
+func attachChaos(m *machine.Machine, opts options) error {
 	if opts.ChaosLevel == 0 {
 		return nil
 	}
@@ -328,7 +281,7 @@ func attachChaos(m *machine.Machine, opts Options) error {
 	return nil
 }
 
-func runInstance(cfg Config, inst *workload.Instance, opts Options) (*Result, error) {
+func runInstance(cfg Config, inst *workload.Instance, opts options) (*Result, error) {
 	if opts.Trace != nil {
 		observe, flush := trace.Recorder(opts.Trace)
 		cfg.CPU.Observe = observe
@@ -389,17 +342,3 @@ type Thread = cpu.Thread
 
 // Program is custom workload code: one function per simulated thread.
 type Program = cpu.Program
-
-// RunPrograms is the low-level entry point: it runs arbitrary programs
-// (at most one per core) on a machine built from cfg and returns the
-// metrics plus a read function for inspecting final memory contents.
-//
-// Deprecated: Use New(cfg, ...Option) and Session.RunPrograms;
-// RunPrograms remains as a one-line Session delegate.
-func RunPrograms(cfg Config, programs []Program) (*Result, func(addr uint64) uint64, error) {
-	s, err := sessionFrom(Options{Policy: cfg.Policy, Config: &cfg})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.RunPrograms(programs)
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -48,14 +49,14 @@ type Options struct {
 	// queued jobs abort immediately, running jobs checkpoint and stop,
 	// and every cancelled job reports machine.ErrInterrupted.
 	Interrupt <-chan struct{}
-	// Telemetry, when non-nil, receives metrics and a structured job span
-	// from every submit, cache, run, retry, quarantine and interrupt path.
-	// Nil costs nothing: the hot path does not allocate.
+	// Telemetry, when non-nil, is the surface that receives metrics and a
+	// structured job span from every submit, cache, run, retry, quarantine
+	// and interrupt path; its counters are also what Runner.Stats reads.
+	// Nil makes the runner create a journal-less surface on first use.
 	Telemetry *telemetry.Sweep
 	// ServeAddr, when non-empty, serves telemetry over HTTP (/metrics,
 	// /progress, /jobs) on the given host:port (":0" picks a free port) for
-	// the runner's lifetime; a journal-less Telemetry surface is created
-	// automatically when none was supplied. See Runner.TelemetryAddr.
+	// the runner's lifetime. See Runner.TelemetryAddr.
 	ServeAddr string
 	// ExecuteInterruptible, when non-nil, replaces local simulation: a
 	// cache-missing job calls it instead of building a machine in this
@@ -63,11 +64,11 @@ type Options struct {
 	// through it while keeping the pool, dedupe, retry, telemetry and
 	// stats semantics. Checkpoint capture and resume are skipped —
 	// whoever executes owns them. The channel closes when the job is
-	// cancelled or preempted, so a remote executor can stop waiting (and
-	// withdraw or cancel the remote work) instead of polling until the
-	// job's natural end. Return an error wrapping machine.ErrInterrupted
-	// to report the interruption. The sweep service's lease dispatcher
-	// and the remote client both plug in here.
+	// cancelled, so a remote executor can stop waiting (and withdraw or
+	// cancel the remote work) instead of polling until the job's natural
+	// end. Return an error wrapping machine.ErrInterrupted to report the
+	// interruption. The sweep service's lease dispatcher and the remote
+	// client both plug in here.
 	ExecuteInterruptible func(Request, <-chan struct{}) (*Outcome, error)
 	// FS, when non-nil, replaces the file plane beneath the persistent
 	// cache (results, checkpoints, quarantine markers) — the seam the
@@ -86,9 +87,12 @@ type Outcome struct {
 	Cached bool
 }
 
-// Stats counts what the runner did. Saved is the wall-clock the original
-// simulations took for every run served from the persistent store — the
-// time a cold run would have spent simulating.
+// Stats counts what the runner did. It is a view of the runner's
+// telemetry surface, not a second set of counters: two runners sharing one
+// Options.Telemetry surface each report the sum of both runners' counts.
+// Saved is the wall-clock the original simulations took for every run
+// served from the persistent store — the time a cold run would have spent
+// simulating.
 type Stats struct {
 	// Submitted counts distinct jobs (post-dedupe); Requests counts every
 	// Submit call.
@@ -107,9 +111,9 @@ type Stats struct {
 	Evictions uint64
 	// Retries counts re-executions of transiently failed jobs; Resumed
 	// counts jobs restored from a persisted checkpoint; Interrupted
-	// counts jobs cancelled by Options.Interrupt; Preempted counts jobs
-	// that cooperatively yielded at a checkpoint boundary (Task.Preempt)
-	// and will resume on their next submission.
+	// counts cancelled jobs; Preempted counts the cancellations that the
+	// sweep service made to time-slice a job and then requeued (always
+	// zero for a runner outside a service).
 	Retries     uint64
 	Resumed     uint64
 	Interrupted uint64
@@ -130,13 +134,6 @@ func (s Stats) Simulated() uint64 { return s.Misses }
 // ErrJobPanicked marks a job whose simulation panicked; the runner
 // recovered, quarantined the job, and kept the rest of the sweep alive.
 var ErrJobPanicked = errors.New("runner: job panicked")
-
-// ErrPreempted marks a job that cooperatively yielded at a checkpoint
-// boundary after Task.Preempt: not failed, not cancelled — its persisted
-// checkpoint resumes it on the next submission of the same request, even
-// without Options.Resume. The sweep service's dispatcher uses this to
-// time-slice long jobs across competing sweeps.
-var ErrPreempted = errors.New("runner: job preempted")
 
 // JobError is a failed job: the request that failed and why. Sweep code
 // matches causes through it with errors.Is/As (machine.ErrTimeout,
@@ -182,16 +179,12 @@ type Task struct {
 	done    chan struct{}
 	out     *Outcome
 	err     error
-	elapsed time.Duration  // wall-clock of the run (or of the original, for disk hits)
-	jt      *telemetry.Job // nil unless telemetry is enabled
+	elapsed time.Duration // wall-clock of the run (or of the original, for disk hits)
+	jt      *telemetry.Job
 	// interrupt, when non-nil, cancels just this task (see
 	// SubmitInterruptible); the runner-wide Options.Interrupt still
 	// applies on top.
 	interrupt <-chan struct{}
-	// preempt asks a running task to yield at its next checkpoint
-	// boundary; unlike interrupt it marks the job resumable-by-default.
-	preempt     chan struct{}
-	preemptOnce sync.Once
 }
 
 // Wait blocks until the job completes and returns its outcome.
@@ -200,36 +193,26 @@ func (t *Task) Wait() (*Outcome, error) {
 	return t.out, t.err
 }
 
-// Preempt asks a running task to cooperatively yield: the machine stops
-// at its next interrupt poll, persists a final checkpoint (when
-// checkpointing is on), and the task completes with ErrPreempted. The
-// next submission of the same request resumes from that checkpoint.
-// Idempotent; a no-op on a task that already finished.
-func (t *Task) Preempt() {
-	t.preemptOnce.Do(func() { close(t.preempt) })
-}
-
 // Runner is the sweep engine. Submissions with equal request digests
 // coalesce into one job; completed jobs stay in memory for the Runner's
 // lifetime and, with a cache directory, persist across processes.
 type Runner struct {
-	opts   Options
-	store  *store
-	sem    chan struct{}
-	tel    *telemetry.Sweep  // nil: telemetry disabled
-	srv    *telemetry.Server // nil: not serving
-	srvErr error
-	ownTel bool // the runner created tel and closes it
+	opts  Options
+	store *store
+	sem   chan struct{}
+	// tel is the telemetry surface and the source of Stats; read it
+	// through surface, which creates it on first use. A job's run
+	// goroutine starts after submit called surface, so it reads tel
+	// directly.
+	tel     *telemetry.Sweep
+	telOnce sync.Once
+	srv     *telemetry.Server // nil: not serving
+	srvErr  error
 
 	mu     sync.Mutex
 	tasks  map[string]*Task
 	order  []*Task
 	failed []*JobError
-	stats  Stats
-	// resumeNext marks digests whose last task was preempted: their next
-	// submission loads the persisted checkpoint even without
-	// Options.Resume, so a time-sliced job continues instead of restarting.
-	resumeNext map[string]struct{}
 }
 
 // New builds a runner.
@@ -238,31 +221,43 @@ func New(opts Options) *Runner {
 		opts.Jobs = runtime.GOMAXPROCS(0)
 	}
 	r := &Runner{
-		opts:       opts,
-		store:      newStore(opts.CacheDir, opts.FS),
-		sem:        make(chan struct{}, opts.Jobs),
-		tel:        opts.Telemetry,
-		tasks:      make(map[string]*Task),
-		resumeNext: make(map[string]struct{}),
+		opts:  opts,
+		store: newStore(opts.CacheDir, opts.FS),
+		sem:   make(chan struct{}, opts.Jobs),
+		tel:   opts.Telemetry,
+		tasks: make(map[string]*Task),
 	}
-	if opts.ServeAddr != "" && r.tel == nil {
-		r.tel = telemetry.NewSweep(telemetry.SweepOptions{})
-		r.ownTel = true
+	if r.tel != nil {
+		r.surface()
 	}
-	r.tel.SetWorkers(opts.Jobs)
 	if opts.ServeAddr != "" {
 		// A bind failure degrades observability, never the sweep; it is
 		// reported through TelemetryAddr's error.
-		r.srv, r.srvErr = telemetry.Serve(opts.ServeAddr, r.tel)
+		r.srv, r.srvErr = telemetry.Serve(opts.ServeAddr, r.surface())
 	}
 	return r
+}
+
+// surface returns the runner's telemetry surface: Options.Telemetry, or a
+// journal-less one created on first use. Creating it lazily keeps New as
+// cheap as a runner that kept no telemetry: building a surface's registry
+// costs more than the rest of New.
+func (r *Runner) surface() *telemetry.Sweep {
+	r.telOnce.Do(func() {
+		if r.tel == nil {
+			r.tel = telemetry.NewSweep(telemetry.SweepOptions{})
+		}
+		r.tel.SetWorkers(r.opts.Jobs)
+	})
+	return r.tel
 }
 
 // Jobs returns the worker-pool size.
 func (r *Runner) Jobs() int { return r.opts.Jobs }
 
-// Telemetry returns the runner's telemetry surface (nil when disabled).
-func (r *Runner) Telemetry() *telemetry.Sweep { return r.tel }
+// Telemetry returns the runner's telemetry surface: Options.Telemetry, or
+// the one the runner created.
+func (r *Runner) Telemetry() *telemetry.Sweep { return r.surface() }
 
 // TelemetryAddr returns the telemetry server's bound address, or the bind
 // error when Options.ServeAddr could not be served ("" when not serving).
@@ -277,22 +272,16 @@ func (r *Runner) TelemetryAddr() (string, error) {
 }
 
 // Close releases the runner's observability resources: it stops the
-// telemetry server, if one is running, and closes the telemetry surface
-// the runner created itself (a caller-supplied Options.Telemetry stays
-// open — its journal belongs to the caller).
+// telemetry server, if one is running. The telemetry surface needs no
+// closing: a caller-supplied Options.Telemetry and its journal belong to
+// the caller, and the surface the runner creates has no journal.
 func (r *Runner) Close() error {
-	var first error
-	if r.srv != nil {
-		first = r.srv.Close()
-		r.srv = nil
+	if r.srv == nil {
+		return nil
 	}
-	if r.ownTel {
-		if err := r.tel.Close(); err != nil && first == nil {
-			first = err
-		}
-		r.ownTel = false
-	}
-	return first
+	err := r.srv.Close()
+	r.srv = nil
+	return err
 }
 
 // Submit enqueues a request and returns its task, coalescing duplicates:
@@ -314,41 +303,34 @@ func (r *Runner) SubmitInterruptible(req Request, interrupt <-chan struct{}) *Ta
 func (r *Runner) submit(req Request, interrupt <-chan struct{}) *Task {
 	req = req.normalize()
 	digest := req.Digest()
-	r.tel.Submitted()
+	tel := r.surface()
+	tel.Submitted()
 	r.mu.Lock()
-	r.stats.Requests++
 	if t, ok := r.tasks[digest]; ok && !replayable(t) {
-		r.stats.Hits++
 		r.mu.Unlock()
-		r.tel.JobDeduped()
+		tel.JobDeduped()
 		return t
 	}
-	t := &Task{req: req, done: make(chan struct{}), interrupt: interrupt, preempt: make(chan struct{})}
-	if r.tel.Enabled() {
-		// Guarded so the request never renders when telemetry is off.
-		t.jt = r.tel.StartJob(digest, req.String())
-	}
+	t := &Task{req: req, done: make(chan struct{}), interrupt: interrupt, jt: tel.StartJob(digest, req.String())}
 	r.tasks[digest] = t
 	r.order = append(r.order, t)
-	r.stats.Submitted++
 	r.mu.Unlock()
-	r.tel.JobQueued()
+	tel.JobQueued()
 	go r.run(t)
 	return t
 }
 
 // replayable reports whether a memoized task's answer is no answer at
 // all: a job that terminated with machine.ErrInterrupted was cancelled,
-// not computed — and a preempted job merely yielded its slice — so a
-// later submission of the same request replaces it with a fresh task
-// instead of replaying the cancellation. A long-running sweep service
-// depends on this — cancelling one sweep must not poison the same
-// request for every future sweep, and a preempted job must be
-// re-submittable to continue.
+// not computed, so a later submission of the same request replaces it
+// with a fresh task instead of replaying the cancellation. A long-running
+// sweep service depends on this — cancelling one sweep must not poison
+// the same request for every future sweep, and a job the service
+// preempted (cancelled and requeued) must be re-submittable to continue.
 func replayable(t *Task) bool {
 	select {
 	case <-t.done:
-		return errors.Is(t.err, machine.ErrInterrupted) || errors.Is(t.err, ErrPreempted)
+		return errors.Is(t.err, machine.ErrInterrupted)
 	default:
 		return false
 	}
@@ -375,12 +357,32 @@ func (r *Runner) Wait() error {
 	return first
 }
 
-// Stats returns a snapshot of the runner's counters.
+// Stats reads the runner's counters from its telemetry surface. Each
+// counter is read atomically, but not all of them at one instant.
 func (r *Runner) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	p := r.surface().Progress()
+	return Stats{
+		Requests:    p.Requests,
+		Submitted:   p.TotalJobs,
+		Hits:        p.MemoryHits,
+		DiskHits:    p.DiskHits,
+		Misses:      p.Misses,
+		Errors:      p.FailedJobs,
+		Panics:      p.Panics,
+		Evictions:   p.Evictions,
+		Retries:     p.Retries,
+		Resumed:     p.Resumed,
+		Interrupted: p.InterruptedJobs,
+		Preempted:   p.Preempted,
+		Saved:       nanoseconds(p.SavedSeconds),
+		SimEvents:   p.SimEvents,
+		SimTime:     nanoseconds(p.SimSeconds),
+	}
 }
+
+// nanoseconds converts a float seconds counter to a Duration, rounded to
+// the nanosecond.
+func nanoseconds(sec float64) time.Duration { return time.Duration(math.Round(sec * 1e9)) }
 
 // Failed returns every failed job so far, in completion order. A sweep
 // that mixes good and bad configurations harvests its partial results
@@ -480,10 +482,6 @@ func (r *Runner) run(t *Task) {
 	out, elapsed, err := r.store.load(t.req)
 	switch {
 	case err == nil:
-		r.mu.Lock()
-		r.stats.DiskHits++
-		r.stats.Saved += elapsed
-		r.mu.Unlock()
 		t.out = out
 		t.elapsed = elapsed
 		r.tel.JobCached(elapsed)
@@ -491,24 +489,12 @@ func (r *Runner) run(t *Task) {
 		r.logf(t, "cached %s (saved %s)", t.req, elapsed.Round(time.Millisecond))
 		return
 	case errors.Is(err, errEvicted):
-		r.mu.Lock()
-		r.stats.Evictions++
-		r.mu.Unlock()
 		r.tel.Eviction()
 	}
 
 	digest := t.req.Digest()
-	// Two interrupt tiers: cancel (sweep-wide or per-task) abandons the
-	// job; preempt merely asks it to yield its slice. The machine watches
-	// their merge — both stop it at a checkpoint boundary — and the
-	// classification below tells them apart by polling the cancel sources.
-	cancel := mergeInterrupt(r.opts.Interrupt, t.interrupt, t.done)
-	intr := mergeInterrupt(cancel, t.preempt, t.done)
+	intr := mergeInterrupt(r.opts.Interrupt, t.interrupt, t.done)
 	x := execCtx{interrupt: intr}
-	r.mu.Lock()
-	_, resumeOnce := r.resumeNext[digest]
-	delete(r.resumeNext, digest)
-	r.mu.Unlock()
 	if r.store != nil && !r.remoteExec() {
 		x.identity = digest
 		if r.opts.CkptEvery > 0 {
@@ -519,20 +505,14 @@ func (r *Runner) run(t *Task) {
 				}
 			}
 		}
-		if r.opts.Resume || resumeOnce {
+		if r.opts.Resume {
 			switch ck, err := r.store.loadCkpt(t.req); {
 			case err == nil:
 				x.resume = ck
-				r.mu.Lock()
-				r.stats.Resumed++
-				r.mu.Unlock()
 				r.tel.JobResumed()
 				t.jt.MarkResumed()
 				r.logf(t, "resuming %s from event %d", t.req, ck.Event)
 			case !errors.Is(err, os.ErrNotExist):
-				r.mu.Lock()
-				r.stats.Evictions++
-				r.mu.Unlock()
 				r.tel.Eviction()
 				r.logf(t, "checkpoint evicted: %v", err)
 			}
@@ -550,8 +530,7 @@ func (r *Runner) run(t *Task) {
 	if r.cancelledNow(t) {
 		// The sweep (or this job's own sweep) was cancelled while it sat
 		// in the queue; its persisted checkpoint (if any) stays put for
-		// the next resume. A pending preempt alone does not abort a queued
-		// job — it runs and yields at its first checkpoint poll.
+		// the next resume.
 		<-r.sem
 		r.finishInterrupted(t, true)
 		return
@@ -585,9 +564,6 @@ func (r *Runner) run(t *Task) {
 			break
 		}
 		delay := r.backoff(attempts)
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
 		r.tel.Retry()
 		r.logf(t, "retrying %s in %s (attempt %d of %d): %v",
 			t.req, delay, attempts+1, r.opts.Retries+1, runErr)
@@ -601,21 +577,13 @@ func (r *Runner) run(t *Task) {
 	r.tel.JobRunDone()
 
 	if errors.Is(runErr, machine.ErrInterrupted) {
-		if r.cancelledNow(t) {
-			r.finishInterrupted(t, false)
-		} else {
-			r.finishPreempted(t)
-		}
+		r.finishInterrupted(t, false)
 		return
 	}
 	if runErr != nil {
 		je := &JobError{Request: t.req, Err: runErr}
 		panicked := errors.Is(runErr, ErrJobPanicked)
 		r.mu.Lock()
-		r.stats.Errors++
-		if panicked {
-			r.stats.Panics++
-		}
 		r.failed = append(r.failed, je)
 		r.mu.Unlock()
 		t.err = je
@@ -630,11 +598,6 @@ func (r *Runner) run(t *Task) {
 		r.logf(t, "failed %s after %d attempt(s): %v", t.req, attempts, runErr)
 		return
 	}
-	r.mu.Lock()
-	r.stats.Misses++
-	r.stats.SimEvents += out.Result.SimEvents
-	r.stats.SimTime += elapsed
-	r.mu.Unlock()
 	t.out = out
 	t.elapsed = elapsed
 	r.tel.JobSucceeded(elapsed, out.Result.SimEvents)
@@ -654,9 +617,6 @@ func (r *Runner) run(t *Task) {
 // reached the worker pool.
 func (r *Runner) finishInterrupted(t *Task, fromQueue bool) {
 	je := &JobError{Request: t.req, Err: machine.ErrInterrupted}
-	r.mu.Lock()
-	r.stats.Interrupted++
-	r.mu.Unlock()
 	t.err = je
 	r.tel.JobInterrupted(fromQueue)
 	t.jt.Done(telemetry.OutcomeInterrupted, 0, machine.ErrInterrupted)
@@ -668,23 +628,6 @@ func (r *Runner) finishInterrupted(t *Task, fromQueue bool) {
 // the source by a scheduling quantum.
 func (r *Runner) cancelledNow(t *Task) bool {
 	return interruptedNow(r.opts.Interrupt) || interruptedNow(t.interrupt)
-}
-
-// finishPreempted records a job that cooperatively yielded: it reports
-// ErrPreempted through its task and marks its digest to resume from the
-// persisted checkpoint on the next submission. Like a cancelled job it is
-// neither quarantined nor an error — but unlike one, yielding was the
-// runner's own scheduling decision, so the resume is automatic.
-func (r *Runner) finishPreempted(t *Task) {
-	je := &JobError{Request: t.req, Err: ErrPreempted}
-	r.mu.Lock()
-	r.stats.Preempted++
-	r.resumeNext[t.req.Digest()] = struct{}{}
-	r.mu.Unlock()
-	t.err = je
-	r.tel.JobPreempted()
-	t.jt.Done(telemetry.OutcomePreempted, 0, ErrPreempted)
-	r.logf(t, "preempted %s (resumes on next submit)", t.req)
 }
 
 // EntryBytes returns the canonical persisted-cache document for a job
@@ -724,9 +667,7 @@ func (r *Runner) logf(t *Task, format string, args ...any) {
 	if r.opts.Log == nil {
 		return
 	}
-	r.mu.Lock()
-	done := r.stats.DiskHits + r.stats.Misses + r.stats.Errors
-	total := r.stats.Submitted
-	r.mu.Unlock()
+	p := r.tel.Progress()
+	done, total := p.DoneJobs+p.FailedJobs, p.TotalJobs
 	fmt.Fprintf(r.opts.Log, "  [%d/%d] "+format+"\n", append([]any{done, total}, args...)...)
 }

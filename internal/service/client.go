@@ -390,8 +390,8 @@ func (c *Client) ExecuteContext(ctx context.Context, q runner.Request) (*runner.
 // ExecuteInterruptible is ExecuteContext shaped for
 // runner.Options.ExecuteInterruptible: the interrupt channel closing
 // cancels the remote wait, and the interruption reports as an error
-// wrapping machine.ErrInterrupted — what the runner's cancellation and
-// preemption classification expects.
+// wrapping machine.ErrInterrupted — what the runner's cancellation
+// classification expects.
 func (c *Client) ExecuteInterruptible(q runner.Request, interrupt <-chan struct{}) (*runner.Outcome, error) {
 	if interrupt == nil {
 		return c.ExecuteContext(context.Background(), q)

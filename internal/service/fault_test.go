@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -269,4 +272,71 @@ func TestExecuteHealsUnderFaults(t *testing.T) {
 		t.Fatal("the injector never fired — the soak exercised nothing")
 	}
 	t.Logf("injected faults: %v", inj.Counts())
+}
+
+// truncatingFS is the real file plane, except that reads of one path
+// come back cut in half; it records every Remove.
+type truncatingFS struct {
+	faultio.OS
+	mu       sync.Mutex
+	truncate string
+	removed  []string
+}
+
+func (f *truncatingFS) ReadFile(path string) ([]byte, error) {
+	data, err := f.OS.ReadFile(path)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err == nil && path == f.truncate {
+		data = data[:len(data)/2]
+	}
+	return data, err
+}
+
+func (f *truncatingFS) Remove(path string) error {
+	f.mu.Lock()
+	f.removed = append(f.removed, path)
+	f.mu.Unlock()
+	return f.OS.Remove(path)
+}
+
+// TestResultReadsThroughFS: Result reads the persisted entry through
+// Options.FS. A truncated read is evicted through the same file plane,
+// and the in-memory outcome is served instead.
+func TestResultReadsThroughFS(t *testing.T) {
+	cache := t.TempDir()
+	fs := &truncatingFS{}
+	svc, err := New(Options{CacheDir: cache, Jobs: 1, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	q := counterReq(96)
+	if _, err := svc.Submit([]runner.Request{q}); err != nil {
+		t.Fatal(err)
+	}
+	svc.Wait()
+	path := filepath.Join(cache, q.Digest()+".json")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fs.mu.Lock()
+	fs.truncate = path
+	fs.removed = nil
+	fs.mu.Unlock()
+	got, err := svc.Result(q.Digest())
+	if err != nil {
+		t.Fatalf("Result over a truncated read: %v", err)
+	}
+	if !bytes.Equal(resultJSON(t, got), resultJSON(t, want)) {
+		t.Fatal("served result differs from the job's outcome")
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if len(fs.removed) != 1 || fs.removed[0] != path {
+		t.Fatalf("removed through the file plane = %v, want [%s]", fs.removed, path)
+	}
 }

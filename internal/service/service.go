@@ -62,10 +62,11 @@ type Options struct {
 	MaxQueued int
 	// Preempt enables checkpoint-based time-slicing: when the pool is
 	// full and some live sweep is starved (queued work, nothing running),
-	// one running job from the best-fed sweep is asked to yield at its
-	// next checkpoint boundary, re-queues, and later resumes from its
-	// persisted checkpoint. Requires CkptEvery > 0 to preserve progress;
-	// without it a preempted job restarts from event zero.
+	// one running job from the best-fed sweep is cancelled — it stops at
+	// its next checkpoint boundary — and re-queued, and later resumes from
+	// its persisted checkpoint (Preempt implies the runner's Resume).
+	// Requires CkptEvery > 0 to preserve progress; without it a preempted
+	// job restarts from event zero.
 	Preempt bool
 	// PreemptSlice is the minimum time a job runs before it may be
 	// preempted (default 500ms). A floor, not a quantum: preemption only
@@ -96,12 +97,11 @@ type job struct {
 	state  string
 	cached bool
 	errMsg string
-	// task is the in-flight runner task while state is JobRunning;
-	// preempting marks a yield request already sent; startedAt is when
-	// the job was admitted (the preemption floor measures from here).
-	task       *runner.Task
-	preempting bool
-	startedAt  time.Time
+	// ctl is the cancellation control the job was last admitted under;
+	// startedAt is when it was admitted (the preemption floor measures
+	// from here).
+	ctl       *jobCtl
+	startedAt time.Time
 }
 
 // sweepState is one submitted sweep: its distinct jobs in admission
@@ -121,14 +121,20 @@ type sweepState struct {
 
 // jobCtl is the per-digest cancellation control for in-flight jobs:
 // every sweep currently running this digest holds an owner reference,
-// and the interrupt channel closes only when the last owner cancels (or
-// the service drains). The runner dedupes concurrent submissions of one
-// digest into one task, so sharing the channel per digest matches what
-// actually executes.
+// and the interrupt channel closes when the last owner cancels, when the
+// service drains, or when the dispatcher preempts the job. The runner
+// dedupes concurrent submissions of one digest into one task, so sharing
+// the channel per digest matches what actually executes.
 type jobCtl struct {
 	ch     chan struct{}
 	owners map[string]int
 	closed bool
+	// preempted marks a channel the dispatcher closed to time-slice the
+	// job; while its job winds down no other preemption starts. yielded
+	// latches once the first owner to requeue it has counted the
+	// preemption.
+	preempted bool
+	yielded   bool
 }
 
 // Service is the sweep control plane over one runner. See the package
@@ -193,7 +199,7 @@ func New(o Options) (*Service, error) {
 		Log:       o.Log,
 		Retries:   o.Retries,
 		CkptEvery: o.CkptEvery,
-		Resume:    o.Resume,
+		Resume:    o.Resume || o.Preempt,
 		Telemetry: tel,
 		FS:        o.FS,
 	}
@@ -544,12 +550,12 @@ func (s *Service) Result(digest string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: job %q", ErrNotFound, digest)
 	}
 	path := filepath.Join(s.opts.CacheDir, digest+".json")
-	if data, err := os.ReadFile(path); err == nil {
+	if data, err := s.fs.ReadFile(path); err == nil {
 		if _, _, derr := runner.DecodeEntry(data); derr == nil {
 			return data, nil
 		}
 		// Unusable on disk; drop it so nothing downstream trusts it.
-		os.Remove(path)
+		s.fs.Remove(path)
 	}
 	if data, err := s.r.EntryBytes(digest); err == nil {
 		return data, nil
@@ -678,24 +684,24 @@ func (s *Service) dispatch() {
 			s.ctl[j.digest] = ctl
 		}
 		ctl.owners[sw.id]++
+		j.ctl = ctl
 		s.mu.Unlock()
 		t := s.r.SubmitInterruptible(j.req, ctl.ch)
 		s.wg.Add(1)
-		go s.await(t, j, sw.id, ctl)
+		go s.await(t, j, sw.id)
 		s.mu.Lock()
-		if j.state == JobRunning {
-			j.task = t
-		}
 	}
 }
 
-// maybePreemptLocked asks one running job to yield when the pool is full
-// and some live sweep is starved — queued work, nothing of its own
-// running — while another sweep holds workers (mu held). The victim is a
-// running job from the sweep with the most in flight, and at most one
-// preemption is pending at a time, so time-slicing converges instead of
-// thrashing. A victim younger than Options.PreemptSlice is left to run;
-// a timer re-kicks the dispatcher when the floor passes.
+// maybePreemptLocked cancels one running job when the pool is full and
+// some live sweep is starved — queued work, nothing of its own running —
+// while another sweep holds workers (mu held). The cancellation closes
+// the job's control channel, as Cancel does, but marks it preempted, so
+// await requeues the job for every live owner. The victim is a running
+// job from the sweep with the most in flight, and at most one preemption
+// is pending at a time, so time-slicing converges instead of thrashing. A
+// victim younger than Options.PreemptSlice is left to run; a timer
+// re-kicks the dispatcher when the floor passes.
 func (s *Service) maybePreemptLocked() {
 	if s.inflight < s.opts.Jobs {
 		return
@@ -712,10 +718,10 @@ func (s *Service) maybePreemptLocked() {
 				queued++
 			case JobRunning:
 				running++
-			}
-			if j.preempting {
-				// One yield already in flight; wait for it to land.
-				return
+				if j.ctl.preempted {
+					// One yield already in flight; wait for it to land.
+					return
+				}
 			}
 		}
 		if queued > 0 && running == 0 {
@@ -725,7 +731,7 @@ func (s *Service) maybePreemptLocked() {
 	if !starved {
 		return
 	}
-	var victim *job
+	var victim *jobCtl
 	best, youngest := 0, false
 	for _, id := range s.order {
 		sw := s.sweeps[id]
@@ -742,14 +748,14 @@ func (s *Service) maybePreemptLocked() {
 			continue
 		}
 		for _, j := range sw.jobs {
-			if j.state != JobRunning || j.task == nil {
+			if j.state != JobRunning || j.ctl.closed {
 				continue
 			}
 			if time.Since(j.startedAt) < s.opts.PreemptSlice {
 				youngest = true
 				continue
 			}
-			best, victim = running, j
+			best, victim = running, j.ctl
 			break
 		}
 	}
@@ -767,8 +773,9 @@ func (s *Service) maybePreemptLocked() {
 		}
 		return
 	}
-	victim.preempting = true
-	victim.task.Preempt()
+	victim.preempted = true
+	victim.closed = true
+	close(victim.ch)
 }
 
 // nextLocked picks the next job to admit (mu held): round-robin over
@@ -798,39 +805,38 @@ func (s *Service) nextLocked() (*job, *sweepState) {
 }
 
 // await collects one admitted job's outcome.
-func (s *Service) await(t *runner.Task, j *job, owner string, ctl *jobCtl) {
+func (s *Service) await(t *runner.Task, j *job, owner string) {
 	defer s.wg.Done()
 	out, err := t.Wait()
 	s.mu.Lock()
 	s.inflight--
 	sw := s.sweeps[owner]
-	j.task = nil
-	j.preempting = false
+	ctl := j.ctl
 	switch {
 	case err == nil:
 		j.state = JobDone
 		j.cached = out.Cached
-	case errors.Is(err, runner.ErrPreempted):
+	case errors.Is(err, machine.ErrInterrupted):
 		switch {
-		case sw != nil && sw.cancelled:
-			j.state = JobCancelled
 		case sw != nil && sw.expired:
 			j.state = JobExpired
 			s.tel.DeadlineExpired(1)
-		default:
-			// The job yielded its slice: back to the queue, and the
-			// admission cursor rewinds so round-robin revisits it. Its
-			// persisted checkpoint resumes it on re-admission.
+		case sw != nil && !sw.cancelled && !s.draining:
+			// The owning sweep did not cancel: the job was preempted (or
+			// deduped onto a task another sweep's cancel or preemption
+			// stopped). Back to the queue, and the admission cursor
+			// rewinds so round-robin revisits it; its persisted
+			// checkpoint resumes it on re-admission. Every live owner
+			// requeues; a preemption counts once.
 			j.state = JobQueued
-			if sw != nil && j.idx < sw.next {
+			if j.idx < sw.next {
 				sw.next = j.idx
 			}
-		}
-	case errors.Is(err, machine.ErrInterrupted):
-		if sw != nil && sw.expired {
-			j.state = JobExpired
-			s.tel.DeadlineExpired(1)
-		} else {
+			if ctl.preempted && !ctl.yielded {
+				ctl.yielded = true
+				s.tel.JobPreempted()
+			}
+		default:
 			j.state = JobCancelled
 		}
 	default:

@@ -5,12 +5,13 @@
 // /metrics, /progress and /jobs while a sweep runs.
 //
 // Like the probe bus (package obs) and the host self-profiler (package
-// perf), the whole layer is designed to cost nothing when off: the runner
-// holds a plain *Sweep (nil by default), every hook method is safe on a
-// nil receiver, and the disabled job hot path allocates zero bytes
-// (asserted in tests). Telemetry only observes the sweep — it never
-// touches simulated state, so results, cache digests and experiment
-// tables are byte-identical with it on or off.
+// perf), the whole layer is designed to cost nothing when off: every hook
+// method is safe on a nil *Sweep, and the disabled job hot path allocates
+// zero bytes (asserted in tests). The sweep runner itself always has a
+// surface, because its Stats are read from the registry. Telemetry only
+// observes the sweep — it never touches simulated state, so results,
+// cache digests and experiment tables are byte-identical with it on or
+// off.
 package telemetry
 
 import (

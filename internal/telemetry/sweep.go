@@ -24,9 +24,10 @@ type SweepOptions struct {
 
 // Sweep is the runner's telemetry surface: a metrics registry updated by
 // the runner's submit, cache, run, retry and quarantine paths, plus the
-// per-job tracer. A nil *Sweep is a valid, permanently disabled surface —
-// every method short-circuits with zero allocations, so the runner
-// publishes unconditionally.
+// per-job tracer. The registry is the runner's only set of counters:
+// runner.Stats is read from Progress. A nil *Sweep is a valid,
+// permanently disabled surface — every method short-circuits with zero
+// allocations, so callers publish unconditionally.
 type Sweep struct {
 	reg    *Registry
 	tracer *Tracer
@@ -132,8 +133,8 @@ func NewSweep(o SweepOptions) *Sweep {
 	return s
 }
 
-// Enabled reports whether telemetry collects anything; the runner guards
-// span construction (digest and request rendering) behind it.
+// Enabled reports whether telemetry collects anything (false only for a
+// nil surface).
 func (s *Sweep) Enabled() bool { return s != nil }
 
 // Registry exposes the underlying registry, for callers registering
@@ -295,9 +296,9 @@ func (s *Sweep) JobInterrupted(fromQueue bool) {
 	s.interrupted.Inc()
 }
 
-// JobPreempted counts a running job that cooperatively yielded at a
-// checkpoint boundary. Its running-gauge slot was already released by
-// JobRunDone; the re-queued job re-enters through JobQueued, so the
+// JobPreempted counts a job the sweep service cancelled to make room for
+// another sweep and requeued. The cancellation itself went through
+// JobInterrupted, and the requeued job re-enters through JobQueued, so the
 // queued/running gauges stay balanced across a preempt-resume cycle.
 func (s *Sweep) JobPreempted() {
 	if s == nil {
@@ -434,6 +435,8 @@ func (s *Sweep) SetFleetWorkers(n int64) {
 // rendered by the live progress line.
 type Progress struct {
 	Workers int64 `json:"workers"`
+	// Requests counts Submit calls, before dedupe.
+	Requests uint64 `json:"requests"`
 	// TotalJobs counts distinct jobs submitted so far (post-dedupe);
 	// DoneJobs those finished successfully (simulated or cached).
 	TotalJobs       uint64 `json:"total_jobs"`
@@ -456,9 +459,13 @@ type Progress struct {
 	Preempted  uint64 `json:"preempted,omitempty"`
 	Overloaded uint64 `json:"overloaded,omitempty"`
 	Expired    uint64 `json:"expired,omitempty"`
-	// SimEvents and EventsPerSec aggregate simulated-job throughput.
+	// SimEvents, SimSeconds and EventsPerSec aggregate simulated-job
+	// throughput; SavedSeconds is the recorded simulation time of every
+	// persistent-store hit.
 	SimEvents    uint64  `json:"sim_events"`
+	SimSeconds   float64 `json:"sim_seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
+	SavedSeconds float64 `json:"saved_seconds"`
 	// ElapsedSeconds is the sweep's age; ETASeconds extrapolates the
 	// remaining jobs at the observed completion rate (0 when unknown).
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
@@ -475,6 +482,7 @@ func (s *Sweep) Progress() Progress {
 	}
 	p := Progress{
 		Workers:         s.workers.Value(),
+		Requests:        s.requests.Value(),
 		TotalJobs:       s.submitted.Value(),
 		DoneJobs:        s.done.Value(),
 		FailedJobs:      s.failed.Value(),
@@ -492,10 +500,12 @@ func (s *Sweep) Progress() Progress {
 		Overloaded:      s.overloaded.Value(),
 		Expired:         s.expired.Value(),
 		SimEvents:       s.simEvents.Value(),
+		SimSeconds:      s.simSeconds.Value(),
+		SavedSeconds:    s.savedSeconds.Value(),
 		ElapsedSeconds:  time.Since(s.start).Seconds(),
 	}
-	if sec := s.simSeconds.Value(); sec > 0 {
-		p.EventsPerSec = float64(p.SimEvents) / sec
+	if p.SimSeconds > 0 {
+		p.EventsPerSec = float64(p.SimEvents) / p.SimSeconds
 	}
 	if fin := p.Finished(); fin > 0 && p.TotalJobs > fin && p.ElapsedSeconds > 0 {
 		p.ETASeconds = p.ElapsedSeconds / float64(fin) * float64(p.TotalJobs-fin)

@@ -23,12 +23,10 @@ const (
 	// OutcomeFailed marks a job that exhausted its retries and was
 	// quarantined.
 	OutcomeFailed Outcome = "failed"
-	// OutcomeInterrupted marks a job cancelled by the sweep interrupt; its
+	// OutcomeInterrupted marks a job cancelled by the sweep interrupt (or
+	// preempted by the sweep service, which cancels and requeues it); its
 	// checkpoint (when one was captured) makes it resumable, not failed.
 	OutcomeInterrupted Outcome = "interrupted"
-	// OutcomePreempted marks a job that cooperatively yielded at a
-	// checkpoint boundary; a later submission resumes it.
-	OutcomePreempted Outcome = "preempted"
 )
 
 // AttemptSpan is one execution attempt inside a job span. A retried job

@@ -78,7 +78,7 @@ func WithRunnerInterrupt(ch <-chan struct{}) RunnerOption {
 // SweepTelemetry is the sweep observability surface: a lock-cheap metrics
 // registry plus a structured per-job tracer, updated by every submit,
 // cache, run, retry, quarantine and interrupt path. A nil *SweepTelemetry
-// is valid and costs nothing. See NewSweepTelemetry and WithTelemetry.
+// is valid and costs nothing. See NewSweepTelemetry and ServiceTelemetry.
 type SweepTelemetry = telemetry.Sweep
 
 // SweepProgress is a point-in-time sweep snapshot: jobs done/total, queue
@@ -207,10 +207,10 @@ func ServiceMaxQueued(n int) ServiceOption {
 
 // ServicePreemption enables checkpoint-based time-slicing on Serve: when
 // the pool is full and a newly arrived sweep is starved, one long-running
-// job is asked to yield at its next checkpoint boundary, re-queues, and
-// later resumes from its persisted checkpoint — so short sweeps are not
-// stuck behind long ones. Combine with ServiceCheckpoints so a preempted
-// job keeps its progress.
+// job is cancelled at its next checkpoint boundary, re-queued, and later
+// resumed from its persisted checkpoint — so short sweeps are not stuck
+// behind long ones. Combine with ServiceCheckpoints so a preempted job
+// keeps its progress.
 func ServicePreemption() ServiceOption {
 	return func(c *serviceConfig) { c.preempt = true }
 }
@@ -286,21 +286,6 @@ func WithService(addr string, opts ...ServiceOption) RunnerOption {
 	}
 }
 
-// WithTelemetry attaches a telemetry surface to the runner.
-//
-// Deprecated: Use WithService with ServiceTelemetry; WithTelemetry
-// remains as a one-line alias.
-func WithTelemetry(t *SweepTelemetry) RunnerOption {
-	return WithService("", ServiceTelemetry(t))
-}
-
-// WithServe exposes the runner's telemetry over HTTP on addr.
-//
-// Deprecated: Use WithService; WithServe remains as a one-line alias.
-func WithServe(addr string) RunnerOption {
-	return WithService(addr)
-}
-
 // NewRunner builds a sweep runner over the default Table II system.
 func NewRunner(opts ...RunnerOption) *Runner {
 	var o runner.Options
@@ -351,7 +336,9 @@ var (
 
 // RunnerStats counts what a Runner did: in-memory and persistent cache
 // hits, misses (simulations executed), evictions of unusable persisted
-// entries, and the wall-clock that cache hits saved.
+// entries, and the wall-clock that cache hits saved. It is a view of the
+// runner's telemetry surface (Runner.Telemetry), so two runners sharing
+// one surface each report the sum of both runners' counts.
 type RunnerStats = runner.Stats
 
 // RunHandle is a submitted run's handle.
@@ -383,21 +370,23 @@ func (r *Runner) Run(req SweepRequest) (*Result, error) {
 // error of the earliest-submitted failed run, if any.
 func (r *Runner) Wait() error { return r.r.Wait() }
 
-// Stats returns a snapshot of the runner's counters.
+// Stats returns a snapshot of the runner's counters, read from its
+// telemetry surface.
 func (r *Runner) Stats() RunnerStats { return r.r.Stats() }
 
-// Telemetry returns the runner's telemetry surface (nil unless enabled
-// with WithTelemetry or WithServe).
+// Telemetry returns the runner's telemetry surface: the one supplied via
+// ServiceTelemetry or ServiceJournal, or else the journal-less surface
+// the runner created for itself. Never nil.
 func (r *Runner) Telemetry() *SweepTelemetry { return r.r.Telemetry() }
 
 // TelemetryAddr returns the telemetry server's bound address, or the bind
-// error when the WithServe address could not be served. Both are empty
-// when WithServe was not used.
+// error when the WithService address could not be served. Both are empty
+// when the runner is not serving.
 func (r *Runner) TelemetryAddr() (string, error) { return r.r.TelemetryAddr() }
 
 // Close releases the runner's observability resources: the telemetry
-// HTTP server, and any telemetry surface the runner created itself. A
-// surface supplied via WithTelemetry stays open. Close does not wait for
+// HTTP server. A surface supplied via ServiceTelemetry stays open, and
+// the one the runner creates has no journal to flush. Close does not wait for
 // running jobs — call Wait first.
 func (r *Runner) Close() error { return r.r.Close() }
 

@@ -150,9 +150,9 @@ func WithRemote(addr string, opts ...RemoteOption) RunnerOption {
 	for _, opt := range opts {
 		opt(client)
 	}
-	// The interrupt-aware seam: cancelling or preempting a local job
-	// aborts its remote wait promptly and best-effort cancels the sweep
-	// server-side, instead of polling to the job's natural end.
+	// The interrupt-aware seam: cancelling a local job aborts its remote
+	// wait promptly and best-effort cancels the sweep server-side,
+	// instead of polling to the job's natural end.
 	return func(o *runner.Options) { o.ExecuteInterruptible = client.ExecuteInterruptible }
 }
 

@@ -78,7 +78,7 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // collectors (Obs, Profile, Interval, Trace) are not shared.
 type Session struct {
 	cfg  Config
-	opts Options
+	opts options
 }
 
 // Option configures a Session.
@@ -196,8 +196,7 @@ func New(cfg Config, options ...Option) (*Session, error) {
 	for _, o := range options {
 		o(s)
 	}
-	s.opts.Config = &s.cfg
-	filled, conf, err := s.opts.fill()
+	filled, conf, err := s.opts.fill(s.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +205,6 @@ func New(cfg Config, options ...Option) (*Session, error) {
 	}
 	s.opts = filled
 	s.cfg = conf
-	s.opts.Config = &s.cfg
 	return s, nil
 }
 

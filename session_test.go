@@ -1,7 +1,6 @@
 package dynamo
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 
@@ -28,27 +27,6 @@ func TestSessionRun(t *testing.T) {
 	}
 }
 
-func TestSessionMatchesDeprecatedRun(t *testing.T) {
-	cfg := smallConfig()
-	s, err := New(cfg, WithThreads(2), WithScale(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSession, err := s.Run("tc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaRun, err := Run(Options{Workload: "tc", Threads: 2, Scale: 0.1, Config: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(viaSession)
-	b, _ := json.Marshal(viaRun)
-	if string(a) != string(b) {
-		t.Fatal("Session.Run and deprecated Run disagree")
-	}
-}
-
 func TestSessionValidatesEagerly(t *testing.T) {
 	if _, err := New(smallConfig(), WithPolicy("nope")); !errors.Is(err, ErrUnknownPolicy) {
 		t.Fatalf("New with bad policy: %v", err)
@@ -65,14 +43,6 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := s.Run("nope"); !errors.Is(err, ErrUnknownWorkload) {
 		t.Fatalf("Run unknown workload: %v", err)
-	}
-	// The deprecated entry points surface the same sentinels.
-	cfg := smallConfig()
-	if _, err := Run(Options{Workload: "nope", Config: &cfg}); !errors.Is(err, ErrUnknownWorkload) {
-		t.Fatalf("deprecated Run unknown workload: %v", err)
-	}
-	if _, err := RunCounter("nope", 2, 10, true, &cfg); !errors.Is(err, ErrUnknownPolicy) {
-		t.Fatalf("deprecated RunCounter unknown policy: %v", err)
 	}
 }
 
