@@ -2,8 +2,10 @@
 # Tier-1 check: formatting, vet, build, full test suite, then the
 # stats-regression gate: fresh snapshots of a smoke set of runs are diffed
 # against the committed baselines in testdata/baselines/ and any metric
-# drift fails the build. Regenerate baselines after an intentional
-# behaviour change with: ./ci.sh -update-baselines
+# drift fails the build, and the golden-table gate regenerates the -quick
+# suite's tables and compares them with results/quick_all_output.txt.
+# Regenerate both after an intentional behaviour change with:
+# ./ci.sh -update-baselines
 # Finally the crash-recovery gate SIGKILLs a sweep mid-run and asserts a
 # -resume rerun reproduces the uninterrupted tables byte-for-byte, and the
 # soak gate repeatedly SIGKILLs and -resume-restarts the sweep *server*
@@ -135,11 +137,27 @@ for run in \
 	fi
 done
 
+# Golden-table gate: every table and figure of the -quick suite (~500
+# simulations on the 32-core Table II machine, every workload and policy)
+# must render byte-identical to the committed results/quick_all_output.txt.
+# The three stats baselines above run on the 4-core system only. Like
+# them, the file is regenerated by ./ci.sh -update-baselines.
+go build -o "$stats/dynamo-experiments" ./cmd/dynamo-experiments
+golden=results/quick_all_output.txt
+echo "ci: golden -quick tables"
+"$stats/dynamo-experiments" -quick -jobs 2 -cache-dir "" all \
+	>"$stats/quick-all.txt" 2>/dev/null
+if [ "$update" = 1 ] || [ ! -f "$golden" ]; then
+	cp "$stats/quick-all.txt" "$golden"
+	echo "ci: golden tables updated: $golden"
+else
+	cmp "$golden" "$stats/quick-all.txt"
+fi
+
 # Crash-recovery gate: a sweep SIGKILLed mid-run must complete under
 # -resume with tables byte-identical to an uninterrupted sweep. If the
 # sweep wins the race and finishes before the kill, the rerun is a pure
 # warm-cache pass and the byte-identity assertion still holds.
-go build -o "$stats/dynamo-experiments" ./cmd/dynamo-experiments
 rcache="$stats/recovery-cache"
 "$stats/dynamo-experiments" -quick -jobs 4 -cache-dir "$rcache" \
 	fig7 >"$stats/fig7-want.txt" 2>/dev/null
