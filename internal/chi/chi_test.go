@@ -282,6 +282,34 @@ func TestFarAtomicStoreCompletesBeforeALU(t *testing.T) {
 	}
 }
 
+// TestRequestReusableFromDone: from the moment Done runs the memory system
+// holds no reference to the request, so the submitter may resubmit it from
+// inside Done, as a core does. A far AtomicStore is acknowledged before the
+// home node's ALU executes it, so the ALU must not read its operands from
+// the (by then reused) request.
+func TestRequestReusableFromDone(t *testing.T) {
+	s := newTestSystem(t, fixedPolicy{Far})
+	req := &Request{Kind: AMO, Addr: 0xa000, Op: memory.AMOAdd, Operand: 5, NoReturn: true}
+	completions := 0
+	req.Done = func(uint64) {
+		if completions++; completions == 1 {
+			req.Kind, req.Addr, req.Operand, req.NoReturn = Load, 0xb000, 1000, false
+			s.RNs[0].Access(req)
+		}
+	}
+	s.Engine.Schedule(0, func() { s.RNs[0].Access(req) })
+	s.Engine.Run(0)
+	if completions != 2 {
+		t.Fatalf("Done ran %d times, want 2", completions)
+	}
+	if a, b := s.Data.Load(0xa000), s.Data.Load(0xb000); a != 5 || b != 0 {
+		t.Fatalf("memory = %d at 0xa000 and %d at 0xb000, want 5 and 0", a, b)
+	}
+	if s.Violation != nil {
+		t.Fatal(s.Violation)
+	}
+}
+
 func TestFarAMOSnoopsRequestorUniqueCopy(t *testing.T) {
 	s := newTestSystem(t, fixedPolicy{Far})
 	// Policy Far is only consulted for non-unique states, so force the

@@ -40,6 +40,17 @@ func (k ReqKind) String() string {
 // Request is one memory operation submitted to a request node. Done, if
 // non-nil, runs at completion time with the value produced (the loaded word
 // for Load, the prior memory value for AMO, 0 for Store).
+//
+// Ownership: Access lends the request to the memory system until Done
+// runs. From the moment Done is called neither the request node nor any
+// home node holds a reference to it (a far AtomicStore's home node keeps
+// its own copy of the operands for the ALU step that follows the early
+// acknowledgment), so the submitter may reuse the request at once, even
+// from inside Done: a core reissues its one load/AMO request from Done,
+// and recycles posted stores through a free list. A request must not be
+// resubmitted before its Done runs. Requests are bound to their request
+// node's lookup continuations on first Access and keep them across reuse,
+// so a reused request schedules its pipeline steps without allocating.
 type Request struct {
 	Kind    ReqKind
 	Addr    memory.Addr
@@ -55,7 +66,21 @@ type Request struct {
 	// obs tracks the request on the probe bus (0 when observability is off
 	// or the request was generated internally, e.g. by the prefetcher).
 	obs obs.TxnID
+
+	// rn is the request node the request was last submitted to; atL1 and
+	// atL2 are its pipeline continuations, bound on first Access.
+	rn         *RN
+	atL1, atL2 func()
+	// prefetch marks a request the prefetcher drew from its node's free
+	// list; it returns there on completion.
+	prefetch bool
 }
+
+// l1Done runs after the L1 tag/data access of a newly submitted request.
+func (r *Request) l1Done() { r.rn.lookup(r, true) }
+
+// l2Done runs once the L2 has been probed.
+func (r *Request) l2Done() { r.rn.afterL2(r, memory.LineOf(r.Addr)) }
 
 // RNStats counts request-node activity.
 type RNStats struct {
@@ -78,6 +103,9 @@ type l2Entry struct {
 	state memory.State
 }
 
+// mshr tracks one outstanding fill and the requests waiting on it. Retired
+// mshrs return to their node's free list with reqs truncated, so a reused
+// mshr appends into the slice it already grew.
 type mshr struct {
 	byAMO bool
 	reqs  []*Request
@@ -94,6 +122,13 @@ type RN struct {
 	l2    *cache.SetAssoc[l2Entry]
 	mshrs map[memory.Line]*mshr
 	Stats RNStats
+
+	// Free lists of retired objects, reused before allocating: fills'
+	// mshrs, the transactions this node issues to home nodes, and the
+	// prefetcher's requests. Each holds at most the peak number in flight.
+	freeMSHRs    []*mshr
+	freeTxns     []*txn
+	freeRequests []*Request
 
 	lastMissLine memory.Line
 	missStreak   int
@@ -168,7 +203,11 @@ func (rn *RN) Access(req *Request) {
 		}
 		req.obs = rn.sys.Obs.BeginTxn(req.issued, class, req.Addr, rn.id)
 	}
-	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L1Latency, perf.KindRN, func() { rn.lookup(req, true) })
+	req.rn = rn
+	if req.atL1 == nil {
+		req.atL1, req.atL2 = req.l1Done, req.l2Done
+	}
+	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L1Latency, perf.KindRN, req.atL1)
 }
 
 // lookup runs after the L1 tag/data access. chargeL2 is false for replayed
@@ -191,7 +230,7 @@ func (rn *RN) lookup(req *Request, chargeL2 bool) {
 		rn.afterL2(req, line)
 		return
 	}
-	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L2Latency, perf.KindRN, func() { rn.afterL2(req, line) })
+	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L2Latency, perf.KindRN, req.atL2)
 }
 
 // afterL2 runs once the L2 has been probed.
@@ -324,19 +363,54 @@ func (rn *RN) requestUnique(req *Request, line memory.Line, st memory.State, byA
 // startFill allocates an MSHR and sends a fill transaction to the home
 // node. heldState is the current private copy's state (Invalid on a miss).
 func (rn *RN) startFill(req *Request, line memory.Line, byAMO bool, kind txnKind, heldState memory.State) {
-	rn.mshrs[line] = &mshr{byAMO: byAMO, reqs: []*Request{req}}
+	m := rn.newMSHR()
+	m.byAMO = byAMO
+	m.reqs = append(m.reqs, req)
+	rn.mshrs[line] = m
 	rn.sys.Fail(rn.sys.Check.ObserveMSHRs(rn.sys.Engine.Now(), rn.id, len(rn.mshrs)))
-	hn := rn.sys.HomeOf(line)
 	rn.sys.Obs.Phase(req.obs, rn.sys.Engine.Now(), obs.PhaseNoCReq)
-	msg := &txn{
-		kind:      kind,
-		line:      line,
-		requestor: rn.id,
-		hadCopy:   heldState.Present(),
-		hadDirty:  heldState.Dirty(),
-		obsID:     req.obs,
+	t := rn.newTxn(kind, line, req.obs)
+	t.hadCopy = heldState.Present()
+	t.hadDirty = heldState.Dirty()
+	rn.sys.send(rn.node, t.hn.node, noc.ControlFlits, t.arrive)
+}
+
+// newMSHR draws an mshr from the free list, allocating when it is empty.
+func (rn *RN) newMSHR() *mshr {
+	if n := len(rn.freeMSHRs); n > 0 {
+		m := rn.freeMSHRs[n-1]
+		rn.freeMSHRs = rn.freeMSHRs[:n-1]
+		return m
 	}
-	rn.sys.send(rn.node, hn.node, noc.ControlFlits, func() { hn.receive(msg) })
+	return &mshr{}
+}
+
+// freeMSHR retires an mshr no longer in rn.mshrs, dropping its request
+// pointers but keeping the slice's capacity.
+func (rn *RN) freeMSHR(m *mshr) {
+	clear(m.reqs)
+	m.reqs = m.reqs[:0]
+	m.byAMO = false
+	rn.freeMSHRs = append(rn.freeMSHRs, m)
+}
+
+// newTxn draws a transaction to line's home node from the free list,
+// allocating (and binding its continuations) when the list is empty.
+func (rn *RN) newTxn(kind txnKind, line memory.Line, id obs.TxnID) *txn {
+	var t *txn
+	if n := len(rn.freeTxns); n > 0 {
+		t = rn.freeTxns[n-1]
+		rn.freeTxns = rn.freeTxns[:n-1]
+	} else {
+		t = newTxn(rn)
+	}
+	t.kind = kind
+	t.line = line
+	t.requestor = rn.id
+	t.obsID = id
+	t.hn = rn.sys.HomeOf(line)
+	t.holds = 1
+	return t
 }
 
 // maybePrefetch implements the stride-1 L1D prefetcher: two sequential
@@ -368,27 +442,35 @@ func (rn *RN) maybePrefetch(line memory.Line) {
 			continue
 		}
 		rn.Stats.Prefetches++
-		req := &Request{Kind: Load, Addr: target.Base()}
+		req := rn.newPrefetch()
+		req.Kind = Load
+		req.Addr = target.Base()
 		rn.startFill(req, target, false, txnReadShared, memory.Invalid)
 	}
+}
+
+// newPrefetch draws a prefetcher request from the free list.
+func (rn *RN) newPrefetch() *Request {
+	if n := len(rn.freeRequests); n > 0 {
+		req := rn.freeRequests[n-1]
+		rn.freeRequests = rn.freeRequests[:n-1]
+		return req
+	}
+	return &Request{prefetch: true}
 }
 
 // issueFarAMO ships the AMO to the home node. Far atomics are not tracked
 // in the MSHRs: they do not fill the line, and CHI lets them pipeline.
 func (rn *RN) issueFarAMO(req *Request, line memory.Line) {
 	rn.Stats.AMOFar++
-	hn := rn.sys.HomeOf(line)
 	rn.sys.Obs.Reclass(req.obs, obs.ClassFarAMO)
 	rn.sys.Obs.ProfileAMO(line.Base(), true)
 	rn.sys.Obs.Phase(req.obs, rn.sys.Engine.Now(), obs.PhaseNoCReq)
-	msg := &txn{
-		kind:      txnAtomic,
-		line:      line,
-		requestor: rn.id,
-		amoReq:    req,
-		obsID:     req.obs,
-	}
-	rn.sys.send(rn.node, hn.node, noc.ControlFlits, func() { hn.receive(msg) })
+	t := rn.newTxn(txnAtomic, line, req.obs)
+	t.amoReq = req
+	t.op, t.addr, t.operand, t.compare = req.Op, req.Addr, req.Operand, req.Compare
+	t.noReturn = req.NoReturn
+	rn.sys.send(rn.node, t.hn.node, noc.ControlFlits, t.arrive)
 }
 
 // fillArrived installs a granted line and replays the requests that were
@@ -400,7 +482,9 @@ func (rn *RN) fillArrived(line memory.Line, granted memory.State) {
 			"fill granting %v arrived with no outstanding MSHR", granted).AtLine(line).AtCore(rn.id))
 		return
 	}
-	rn.sys.tracef("core %d fill line %#x granted %v (%d waiters)", rn.id, line, granted, len(m.reqs))
+	if rn.sys.Trail != nil {
+		rn.sys.tracef("core %d fill line %#x granted %v (%d waiters)", rn.id, line, granted, len(m.reqs))
+	}
 	delete(rn.mshrs, line)
 	if e, ok := rn.l1.Peek(uint64(line)); ok {
 		// Upgrade of a still-present copy.
@@ -423,6 +507,7 @@ func (rn *RN) fillArrived(line memory.Line, granted memory.State) {
 			rn.lookup(r, false)
 		}
 	}
+	rn.freeMSHR(m)
 }
 
 // installL1 inserts a line into the L1, demoting the victim to L2 and
@@ -450,8 +535,9 @@ func (rn *RN) installL2(line memory.Line, st memory.State) {
 // WriteBackFull / WriteEvictFull). The RN does not wait for completion.
 func (rn *RN) writeBack(line memory.Line, st memory.State) {
 	rn.Stats.WriteBacks++
-	rn.sys.tracef("core %d writeback line %#x %v", rn.id, line, st)
-	hn := rn.sys.HomeOf(line)
+	if rn.sys.Trail != nil {
+		rn.sys.tracef("core %d writeback line %#x %v", rn.id, line, st)
+	}
 	flits := noc.ControlFlits
 	if st.Dirty() {
 		flits = noc.DataFlits
@@ -462,14 +548,9 @@ func (rn *RN) writeBack(line memory.Line, st memory.State) {
 		id = rn.sys.Obs.BeginTxn(now, obs.ClassWriteBack, line.Base(), rn.id)
 		rn.sys.Obs.Phase(id, now, obs.PhaseNoCReq)
 	}
-	msg := &txn{
-		kind:      txnWriteBack,
-		line:      line,
-		requestor: rn.id,
-		hadDirty:  st.Dirty(),
-		obsID:     id,
-	}
-	rn.sys.send(rn.node, hn.node, flits, func() { hn.receive(msg) })
+	t := rn.newTxn(txnWriteBack, line, id)
+	t.hadDirty = st.Dirty()
+	rn.sys.send(rn.node, t.hn.node, flits, t.arrive)
 }
 
 // setL1State rewrites the state of a line known to be in L1.
@@ -483,46 +564,49 @@ func (rn *RN) setL1State(line memory.Line, st memory.State) {
 }
 
 // handleSnoop processes a snoop from the home node after an L1 tag lookup
-// delay, then responds. invalidate selects SnpUnique semantics; otherwise
-// the snoop is a SnpShared downgrade.
-func (rn *RN) handleSnoop(line memory.Line, invalidate bool, respond func(hadCopy, dirty bool)) {
+// delay, then responds (see snoopLookup).
+func (rn *RN) handleSnoop(sn *snoop) {
 	rn.Stats.SnoopsReceived++
-	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L1Latency, perf.KindRN, func() {
-		hadCopy := false
-		dirty := false
-		apply := func(st memory.State) memory.State {
-			hadCopy = true
-			dirty = st.Dirty()
-			if invalidate {
-				rn.Stats.Invalidations++
-				rn.sys.Policy.OnInvalidate(rn.id, line)
-				return memory.Invalid
-			}
-			rn.Stats.Downgrades++
-			switch st {
-			case memory.UniqueDirty:
-				return memory.SharedDirty
-			case memory.UniqueClean:
-				return memory.SharedClean
-			default:
-				return st
-			}
+	rn.sys.Engine.ScheduleKind(rn.sys.Cfg.L1Latency, perf.KindRN, sn.lookup)
+}
+
+// snoopLookup applies a snoop to this RN's copy of the line and hands the
+// response to the home node. An invalidating snoop has SnpUnique
+// semantics; otherwise it is a SnpShared downgrade.
+func (rn *RN) snoopLookup(sn *snoop) {
+	line := sn.t.line
+	apply := func(st memory.State) memory.State {
+		sn.hadCopy = true
+		sn.dirty = st.Dirty()
+		if sn.invalidate {
+			rn.Stats.Invalidations++
+			rn.sys.Policy.OnInvalidate(rn.id, line)
+			return memory.Invalid
 		}
-		if e, ok := rn.l1.Peek(uint64(line)); ok {
-			if next := apply(e.state); next == memory.Invalid {
-				rn.l1.Remove(uint64(line))
-			} else {
-				e.state = next
-			}
-		} else if e, ok := rn.l2.Peek(uint64(line)); ok {
-			if next := apply(e.state); next == memory.Invalid {
-				rn.l2.Remove(uint64(line))
-			} else {
-				e.state = next
-			}
+		rn.Stats.Downgrades++
+		switch st {
+		case memory.UniqueDirty:
+			return memory.SharedDirty
+		case memory.UniqueClean:
+			return memory.SharedClean
+		default:
+			return st
 		}
-		respond(hadCopy, dirty)
-	})
+	}
+	if e, ok := rn.l1.Peek(uint64(line)); ok {
+		if next := apply(e.state); next == memory.Invalid {
+			rn.l1.Remove(uint64(line))
+		} else {
+			e.state = next
+		}
+	} else if e, ok := rn.l2.Peek(uint64(line)); ok {
+		if next := apply(e.state); next == memory.Invalid {
+			rn.l2.Remove(uint64(line))
+		} else {
+			e.state = next
+		}
+	}
+	sn.hn.snoopRespond(sn)
 }
 
 // complete finishes a request and updates latency accounting.
@@ -537,5 +621,9 @@ func (rn *RN) complete(req *Request, value uint64) {
 	rn.sys.Obs.EndTxn(req.obs, rn.sys.Engine.Now())
 	if req.Done != nil {
 		req.Done(value)
+	}
+	if req.prefetch {
+		*req = Request{prefetch: true}
+		rn.freeRequests = append(rn.freeRequests, req)
 	}
 }

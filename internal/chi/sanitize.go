@@ -34,6 +34,8 @@ func (s *System) Fail(v *check.Violation) {
 }
 
 // tracef appends one event to the recent-event trail, when one is attached.
+// Hot-path callers test s.Trail first: boxing the arguments into the
+// variadic slice allocates even when no trail is attached.
 func (s *System) tracef(format string, args ...any) {
 	if s.Trail != nil {
 		s.Trail.Addf(s.Engine.Now(), format, args...)

@@ -234,15 +234,26 @@ type Core struct {
 	// preserve program order: a load (or value-returning AMO) to a word
 	// with a pending posted write must not complete with a stale value.
 	pendingWords map[memory.Addr]int
-	// resume/ready hold the single blocked continuation (the program
-	// thread can only wait on one condition at a time).
-	resume   func()
-	ready    func() bool
+	// blocked is the operation the program waits to issue while waiting is
+	// set; its kind selects the condition (see ready). The program thread
+	// can only wait on one operation at a time.
+	blocked  op
+	waiting  bool
 	onFinish func()
-	// stallName/stallStart describe the pending blocked continuation for
-	// the observability bus; stallName is empty when no stall is recorded.
+	// stallName/stallStart describe the pending blocked operation for the
+	// observability bus; stallName is empty when no stall is recorded.
 	stallName  string
 	stallStart sim.Tick
+
+	// tick resumes the program; it is bound once, so scheduling the next
+	// instruction allocates nothing.
+	tick func()
+	// req is the single in-flight load or value-returning AMO: the program
+	// is blocked until its Done runs, so one request serves them all.
+	req chi.Request
+	// freePosted holds retired posted-operation requests for reuse; at
+	// most StoreBuffer are ever allocated.
+	freePosted []*postedReq
 
 	// Instructions counts committed instructions (compute cycles count one
 	// each), the denominator of APKI.
@@ -268,6 +279,8 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 		pendingWords: make(map[memory.Addr]int),
 		thread:       &Thread{id: rn.ID()},
 	}
+	c.tick = func() { c.advance(0) }
+	c.req.Done = func(v uint64) { c.advance(v) }
 	// iter.Pull re-raises a panic escaping the program in next's caller.
 	c.next, c.stop = iter.Pull(func(yield func(op) bool) {
 		c.thread.yield = yield
@@ -285,7 +298,7 @@ func New(cfg Config, engine *sim.Engine, rn *chi.RN, prog Program, onFinish func
 
 // Start schedules the core's first instruction after delay cycles.
 func (c *Core) Start(delay sim.Tick) {
-	c.engine.ScheduleKind(delay, perf.KindCPU, func() { c.advance(0) })
+	c.engine.ScheduleKind(delay, perf.KindCPU, c.tick)
 }
 
 // Finished reports whether the program has returned.
@@ -341,79 +354,139 @@ func (c *Core) execute(o op) {
 	switch o.kind {
 	case opCompute:
 		c.Instructions += uint64(o.cycles)
-		c.engine.ScheduleKind(o.cycles, perf.KindCPU, func() { c.advance(0) })
+		c.engine.ScheduleKind(o.cycles, perf.KindCPU, c.tick)
 	case opPause:
-		c.engine.ScheduleKind(o.cycles, perf.KindCPU, func() { c.advance(0) })
-	case opFence:
+		c.engine.ScheduleKind(o.cycles, perf.KindCPU, c.tick)
+	default:
 		c.Instructions++
-		c.when("stall:fence", func() bool { return c.outstanding == 0 }, func() {
-			c.engine.ScheduleKind(0, perf.KindCPU, func() { c.advance(0) })
-		})
-	case opLoad:
-		c.Instructions++
-		c.when("stall:load-order", c.wordClear(o.addr), func() {
-			c.rn.Access(&chi.Request{
-				Kind: chi.Load,
-				Addr: o.addr,
-				Done: func(v uint64) { c.advance(v) },
-			})
-		})
-	case opAMO:
-		c.Instructions++
-		c.when("stall:atomic-order", c.wordClear(o.addr), func() {
-			c.rn.Access(&chi.Request{
-				Kind:    chi.AMO,
-				Addr:    o.addr,
-				Op:      o.amo,
-				Operand: o.operand,
-				Compare: o.compare,
-				Done:    func(v uint64) { c.advance(v) },
-			})
-		})
-	case opStore, opAMOStore:
-		c.Instructions++
-		isAMO := o.kind == opAMOStore
-		issue := func() {
-			c.outstanding++
-			if isAMO {
-				c.outstandingAMO++
-			}
-			w := wordOf(o.addr)
-			c.pendingWords[w]++
-			req := &chi.Request{
-				Addr:    o.addr,
-				Operand: o.operand,
-				Done: func(uint64) {
-					if c.pendingWords[w]--; c.pendingWords[w] == 0 {
-						delete(c.pendingWords, w)
-					}
-					if isAMO {
-						c.outstandingAMO--
-					}
-					c.posted()
-				},
-			}
-			if o.kind == opStore {
-				req.Kind = chi.Store
-			} else {
-				req.Kind = chi.AMO
-				req.Op = o.amo
-				req.NoReturn = true
-			}
-			c.rn.Access(req)
-			c.engine.ScheduleKind(c.cfg.IssueCost, perf.KindCPU, func() { c.advance(0) })
+		if c.ready(o) {
+			c.issue(o)
+		} else {
+			c.block(o)
 		}
-		stall := "stall:store-buffer"
-		if isAMO && c.outstanding < c.cfg.StoreBuffer {
-			stall = "stall:atomic-queue"
-		}
-		c.when(stall, func() bool {
-			if c.outstanding >= c.cfg.StoreBuffer {
-				return false
-			}
-			return !isAMO || c.outstandingAMO < c.cfg.MaxAtomics
-		}, issue)
 	}
+}
+
+// postedReq is a posted store or AtomicStore in flight. Its Done is bound
+// once at allocation; the core recycles it when the store retires.
+type postedReq struct {
+	req  chi.Request
+	word memory.Addr
+	amo  bool
+}
+
+// ready reports whether o may issue now. Fences wait for every posted
+// operation to retire; loads and value-returning AMOs wait for the posted
+// writes to their word (see pendingWords); posted operations wait for a
+// store-buffer slot and, for AtomicStores, an atomic-queue slot.
+func (c *Core) ready(o op) bool {
+	switch o.kind {
+	case opFence:
+		return c.outstanding == 0
+	case opLoad, opAMO:
+		// The model has no store-to-load forwarding, so an access that
+		// could observe a pre-write value conservatively stalls instead.
+		return c.pendingWords[wordOf(o.addr)] == 0
+	case opStore:
+		return c.outstanding < c.cfg.StoreBuffer
+	case opAMOStore:
+		return c.outstanding < c.cfg.StoreBuffer && c.outstandingAMO < c.cfg.MaxAtomics
+	}
+	panic(fmt.Sprintf("cpu: op kind %d never blocks", o.kind))
+}
+
+// issue performs a ready fence, access or posted operation.
+func (c *Core) issue(o op) {
+	switch o.kind {
+	case opFence:
+		c.engine.ScheduleKind(0, perf.KindCPU, c.tick)
+	case opLoad, opAMO:
+		r := &c.req
+		r.Kind = chi.Load
+		if o.kind == opAMO {
+			r.Kind = chi.AMO
+		}
+		r.Addr, r.Op, r.Operand, r.Compare = o.addr, o.amo, o.operand, o.compare
+		c.rn.Access(r)
+	case opStore, opAMOStore:
+		p := c.newPosted()
+		p.amo = o.kind == opAMOStore
+		p.word = wordOf(o.addr)
+		c.outstanding++
+		if p.amo {
+			c.outstandingAMO++
+		}
+		c.pendingWords[p.word]++
+		r := &p.req
+		r.Kind = chi.Store
+		r.Addr, r.Operand = o.addr, o.operand
+		r.Op, r.Compare, r.NoReturn = 0, 0, false
+		if p.amo {
+			r.Kind = chi.AMO
+			r.Op = o.amo
+			r.NoReturn = true
+		}
+		c.rn.Access(r)
+		c.engine.ScheduleKind(c.cfg.IssueCost, perf.KindCPU, c.tick)
+	}
+}
+
+// newPosted returns a free posted-operation request, allocating one (with
+// its Done bound) only while fewer than StoreBuffer exist.
+func (c *Core) newPosted() *postedReq {
+	if n := len(c.freePosted); n > 0 {
+		p := c.freePosted[n-1]
+		c.freePosted = c.freePosted[:n-1]
+		return p
+	}
+	p := &postedReq{}
+	p.req.Done = func(uint64) { c.retire(p) }
+	return p
+}
+
+// retire completes a posted operation. The RN no longer references p once
+// Done runs, so p returns to the free list before a blocked operation can
+// claim it.
+func (c *Core) retire(p *postedReq) {
+	if c.pendingWords[p.word]--; c.pendingWords[p.word] == 0 {
+		delete(c.pendingWords, p.word)
+	}
+	if p.amo {
+		c.outstandingAMO--
+	}
+	c.freePosted = append(c.freePosted, p)
+	c.posted()
+}
+
+// block parks o until its condition holds, blocking the program until
+// then. At most one operation can be pending because the program thread
+// is blocked while it waits.
+func (c *Core) block(o op) {
+	if c.waiting {
+		panic("cpu: second blocked operation")
+	}
+	if c.cfg.Obs != nil {
+		c.stallName, c.stallStart = stallReason(o, c.outstanding < c.cfg.StoreBuffer), c.engine.Now()
+	}
+	c.blocked, c.waiting = o, true
+}
+
+// stallReason names the hazard blocking o for the observability bus;
+// bufferFree reports whether the store buffer has a free slot.
+func stallReason(o op, bufferFree bool) string {
+	switch o.kind {
+	case opFence:
+		return "stall:fence"
+	case opLoad:
+		return "stall:load-order"
+	case opAMO:
+		return "stall:atomic-order"
+	case opAMOStore:
+		if bufferFree {
+			return "stall:atomic-queue"
+		}
+	}
+	return "stall:store-buffer"
 }
 
 // PendingWord is one (word, in-flight posted writes) pair of a snapshot.
@@ -423,9 +496,9 @@ type PendingWord struct {
 }
 
 // Snapshot is a serializable image of the core's externally visible state.
-// The blocked continuation itself cannot be serialized; Blocked records
-// only whether one is pending — checkpoint verification replays the
-// deterministic event stream, which reconstructs the continuation.
+// Blocked records only whether the program waits on a blocked operation,
+// not the operation itself — checkpoint verification replays the
+// deterministic event stream, which reconstructs it.
 type Snapshot struct {
 	Started        bool
 	Finished       bool
@@ -447,7 +520,7 @@ func (c *Core) Snapshot() Snapshot {
 	return Snapshot{
 		Started:        c.started,
 		Finished:       c.finished,
-		Blocked:        c.resume != nil,
+		Blocked:        c.waiting,
 		Outstanding:    c.outstanding,
 		OutstandingAMO: c.outstandingAMO,
 		Instructions:   c.Instructions,
@@ -458,41 +531,14 @@ func (c *Core) Snapshot() Snapshot {
 
 func wordOf(a memory.Addr) memory.Addr { return a &^ 7 }
 
-// wordClear is the program-order condition for value-returning accesses: no
-// posted write to the same word may still be in flight, otherwise the
-// access could observe a pre-write value (the model has no store-to-load
-// forwarding, so it conservatively stalls instead).
-func (c *Core) wordClear(a memory.Addr) func() bool {
-	w := wordOf(a)
-	return func() bool { return c.pendingWords[w] == 0 }
-}
-
-// when runs fn once cond holds, blocking the program until then. At most
-// one continuation can be pending because the program thread is blocked
-// while it waits. stall names the hazard for the observability bus.
-func (c *Core) when(stall string, cond func() bool, fn func()) {
-	if cond() {
-		fn()
-		return
-	}
-	if c.resume != nil {
-		panic("cpu: second blocked continuation")
-	}
-	if c.cfg.Obs != nil {
-		c.stallName, c.stallStart = stall, c.engine.Now()
-	}
-	c.ready = cond
-	c.resume = fn
-}
-
-// posted retires one posted operation, unblocking the waiting continuation
-// (a stalled issue, a draining fence, or an ordering-stalled access) if
-// its condition now holds.
+// posted retires one posted operation, issuing the blocked operation (a
+// stalled posted operation, a draining fence, or an ordering-stalled
+// access) if its condition now holds.
 func (c *Core) posted() {
 	c.outstanding--
-	if c.resume != nil && c.ready() {
-		f := c.resume
-		c.resume, c.ready = nil, nil
+	if c.waiting && c.ready(c.blocked) {
+		o := c.blocked
+		c.blocked, c.waiting = op{}, false
 		if c.stallName != "" {
 			now := c.engine.Now()
 			c.cfg.Obs.Span(obs.Track{Group: obs.TrackCore, ID: c.rn.ID()}, c.stallName, c.stallStart, now-c.stallStart)
@@ -501,6 +547,6 @@ func (c *Core) posted() {
 			c.cfg.Obs.Count("cpu.stall-cycles", uint64(now-c.stallStart))
 			c.stallName = ""
 		}
-		f()
+		c.issue(o)
 	}
 }

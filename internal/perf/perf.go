@@ -1,7 +1,7 @@
 // Package perf is the simulator's host-performance self-profiler: it
 // attributes the simulator's own wall-clock time and event counts to the
 // subsystems that scheduled each kernel event, tracks events/sec,
-// allocation pressure (via runtime/metrics) and event-queue depth, and
+// allocation pressure (via runtime.ReadMemStats) and event-queue depth, and
 // renders a machine-readable Report.
 //
 // Like the probe bus (package obs), the profiler is designed to cost
@@ -22,7 +22,6 @@ package perf
 import (
 	"fmt"
 	"runtime"
-	"runtime/metrics"
 	"sort"
 	"strings"
 	"time"
@@ -77,31 +76,26 @@ func (k Kind) String() string {
 // time while still collecting thousands of samples per second per kind.
 const DefaultSampleStride = 64
 
-// heapMetrics are the runtime/metrics samples the profiler reads at Start
-// and Report to compute allocation and GC deltas.
-var heapMetrics = [...]string{
-	"/gc/heap/allocs:bytes",
-	"/gc/heap/allocs:objects",
-	"/gc/cycles/total:gc-cycles",
-}
-
-// heapStat is one reading of the heap metrics.
+// heapStat is one reading of the process's heap counters.
 type heapStat struct {
 	allocBytes   uint64
 	allocObjects uint64
 	gcCycles     uint64
 }
 
+// readHeap reads the heap counters with runtime.ReadMemStats. Its brief
+// stop-the-world flushes every P's allocation cache, so the object count
+// is exact. runtime/metrics' /gc/heap/allocs:objects counts a small object
+// only once its span leaves a P's cache, which blurs a run's delta by up
+// to a span's worth of slots per size class: more than the whole count of
+// an event loop that allocates almost nothing.
 func readHeap() heapStat {
-	s := make([]metrics.Sample, len(heapMetrics))
-	for i, name := range heapMetrics {
-		s[i].Name = name
-	}
-	metrics.Read(s)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	return heapStat{
-		allocBytes:   s[0].Value.Uint64(),
-		allocObjects: s[1].Value.Uint64(),
-		gcCycles:     s[2].Value.Uint64(),
+		allocBytes:   ms.TotalAlloc,
+		allocObjects: ms.Mallocs,
+		gcCycles:     uint64(ms.NumGC),
 	}
 }
 
@@ -219,7 +213,7 @@ type Report struct {
 	// QueueDepthAvg averages the sampled depths.
 	QueueDepthMax int     `json:"queue_depth_max"`
 	QueueDepthAvg float64 `json:"queue_depth_avg"`
-	// Heap deltas over the run, from runtime/metrics (process-global).
+	// Heap deltas over the run, from runtime.ReadMemStats (process-global).
 	HeapAllocBytes   uint64  `json:"heap_alloc_bytes"`
 	HeapAllocObjects uint64  `json:"heap_alloc_objects"`
 	AllocsPerEvent   float64 `json:"allocs_per_event"`

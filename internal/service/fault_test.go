@@ -184,15 +184,36 @@ func TestOverloadBackpressure(t *testing.T) {
 		t.Fatalf("wire overflow err = %v, want ErrOverloaded", err)
 	}
 
-	// Wire, with backoff: the long job finishes well inside the retry
-	// budget, capacity frees, and the same batch is admitted.
+	// Wire, with backoff: capacity frees while the client backs off, and
+	// the same batch is admitted. Sweep A is cancelled as soon as the
+	// client's first attempt is refused, so recovery does not depend on
+	// how fast the host runs the long job.
+	refused := tel.Progress().Overloaded
+	stop := make(chan struct{})
+	cancelled := make(chan error, 1)
+	go func() {
+		for tel.Progress().Overloaded == refused {
+			select {
+			case <-stop:
+				cancelled <- errors.New("client was never refused")
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		_, err := svc.Cancel(stA.ID)
+		cancelled <- err
+	}()
 	c1 := Dial(srv.Addr())
 	c1.Retries = 10
 	c1.Backoff = 25 * time.Millisecond
 	c1.MaxBackoff = 200 * time.Millisecond
 	st, err := c1.Submit(counterReq(3), counterReq(4))
+	close(stop)
 	if err != nil {
 		t.Fatalf("backoff submit did not recover: %v", err)
+	}
+	if err := <-cancelled; err != nil {
+		t.Fatalf("cancelling sweep A on the first refusal: %v", err)
 	}
 	if st, err = c1.Wait(st.ID); err != nil || st.State != SweepDone {
 		t.Fatalf("recovered sweep = %+v, %v", st, err)

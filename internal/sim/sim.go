@@ -1,9 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // All timing in the simulator is expressed in core clock cycles. Components
-// schedule closures to run at future cycles on a single Engine; the engine
-// executes them in (time, insertion-order) order, which makes every
-// simulation run fully deterministic for a given seed and configuration.
+// schedule continuations (func values) to run at future cycles on a single
+// Engine; the engine executes them in (time, insertion-order) order, which
+// makes every simulation run fully deterministic for a given seed and
+// configuration. The queue stores events by value, so scheduling allocates
+// nothing once it has grown. The simulator's hot-path components bind each
+// continuation once, to a long-lived object (a core) or to one drawn from a
+// free list (a request, transaction or snoop) whose fields carry the
+// per-event data, rather than creating a closure per event.
 package sim
 
 import (
@@ -16,7 +21,7 @@ import (
 // Tick is a point in simulated time, measured in clock cycles.
 type Tick uint64
 
-// event is one scheduled closure, stored by value in the queue.
+// event is one scheduled continuation, stored by value in the queue.
 type event struct {
 	when Tick
 	seq  uint64 // insertion order; breaks ties deterministically
@@ -61,7 +66,7 @@ func (h *eventHeap) pop() event {
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // release the closure
+	q[n] = event{} // release the continuation
 	q = q[:n]
 	*h = q
 	if n == 0 {

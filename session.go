@@ -151,7 +151,7 @@ func WithCheck() Option {
 // WithHostPerf attaches the host-performance self-profiler: every kernel
 // event is counted per scheduling subsystem, wall-clock cost is sampled
 // (one timed event per perf.DefaultSampleStride), and heap/GC deltas are
-// read via runtime/metrics. The report lands in Result.HostPerf.
+// read via runtime.ReadMemStats. The report lands in Result.HostPerf.
 // Profiling is purely observational: simulated results are bit-identical
 // with it on or off.
 func WithHostPerf() Option {
