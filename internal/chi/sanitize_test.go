@@ -58,6 +58,26 @@ func TestFillWithoutMSHRIsViolation(t *testing.T) {
 	}
 }
 
+// TestRetiredTxnEndedAgainIsViolation: ending a transaction that already
+// returned to its free list reports a violation instead of listing it
+// twice, which would hand one object to two later flows.
+func TestRetiredTxnEndedAgainIsViolation(t *testing.T) {
+	s := checkedTestSystem(t, check.Config{})
+	rn := s.RNs[0]
+	tx := rn.newTxn(txnReadShared, memory.LineOf(0x3000), 0)
+	tx.unref()
+	if s.Violation != nil || len(rn.freeTxns) != 1 {
+		t.Fatalf("first end: violation %v, %d free txns", s.Violation, len(rn.freeTxns))
+	}
+	tx.unref()
+	if v := s.Violation; v == nil || v.Kind != check.KindProtocol {
+		t.Fatalf("second end: violation %v, want a protocol violation", v)
+	}
+	if len(rn.freeTxns) != 1 {
+		t.Fatalf("%d free txns after the second end, want 1", len(rn.freeTxns))
+	}
+}
+
 func TestSetL1StateAbsentIsViolation(t *testing.T) {
 	s := checkedTestSystem(t, check.Config{})
 	s.RNs[2].setL1State(0x40, memory.UniqueDirty)
